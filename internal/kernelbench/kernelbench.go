@@ -32,6 +32,7 @@ type Case struct {
 func Cases() []Case {
 	return append([]Case{
 		{"send_recv", benchSendRecv, true},
+		{"handler_send_recv", benchHandlerSendRecv, true},
 		{"send_recv_profiled", benchSendRecvProfiled, true},
 		{"send_recv_chain", benchChain, true},
 		{"send_recv_burst64", benchBurst, true},
@@ -114,6 +115,30 @@ func benchSendRecv(b *testing.B) {
 			d := p.Recv()
 			p.Send(d.From, msg, sim.Microsecond)
 		}
+	})
+	k.Spawn("ping", func(p *sim.Proc) {
+		for i := 0; i < n; i++ {
+			p.Send(pong, msg, sim.Microsecond)
+			p.Recv()
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// benchHandlerSendRecv is benchSendRecv with the echo side a handler Proc —
+// the shape of a fault: compute → protocol handler → compute. The handler's
+// body runs inline on ping's goroutine and its reply reactivates ping there,
+// so an op (two deliveries) involves no channel operation at all.
+func benchHandlerSendRecv(b *testing.B) {
+	b.ReportAllocs()
+	k := sim.NewKernel()
+	var msg any = new(struct{})
+	n := b.N
+	pong := k.SpawnHandler("pong", func(p *sim.Proc, d sim.Delivery) {
+		p.Send(d.From, msg, sim.Microsecond)
 	})
 	k.Spawn("ping", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {

@@ -70,8 +70,7 @@ func benchAggFlush64(b *testing.B) {
 	}
 	for _, n := range all {
 		n := n
-		n.ProtoProc = k.Spawn("proto", n.ProtocolLoop)
-		n.ProtoProc.SetDaemon(true)
+		n.ProtoProc = k.SpawnHandler("proto", n.HandleDelivery)
 	}
 	all[0].EnableAggregation(false)
 	entries := make([]tempest.BulkEntry, entryBulk)

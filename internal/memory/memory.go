@@ -232,7 +232,7 @@ func (s *Store) lineAt(a Addr) *Line {
 	if rid >= len(s.lines) {
 		panic(fmt.Sprintf("memory: node %d: access to unmapped region %d", s.node, rid))
 	}
-	idx := a.Offset() / int64(s.as.blockSize)
+	idx := a.Offset() >> s.as.blockShift
 	ch := s.lines[rid][idx>>chunkBits]
 	if ch == nil {
 		return s.slowLine(rid, idx, false)
@@ -282,7 +282,7 @@ func (s *Store) Tag(a Addr) Tag {
 // line with zeroed storage if needed.
 func (s *Store) Ensure(b Block) *Line {
 	rid := b.RegionID()
-	idx := b.Offset() / int64(s.as.blockSize)
+	idx := b.Offset() >> s.as.blockShift
 	return s.slowLine(rid, idx, true)
 }
 

@@ -318,6 +318,32 @@ func (m *Machine) Run(prog Program) error {
 	if want := c.Net.ExpectNodes(); want != 0 && c.Nodes != want {
 		return fmt.Errorf("rt: interconnect describes %d nodes, machine has %d", want, c.Nodes)
 	}
+	// Resolve the engine before anything is spawned: a configuration error
+	// past that point would strand the compute processors' goroutines.
+	//
+	// A lane is the unit of concurrent execution. On a flat interconnect
+	// each node is a lane: a node's compute and protocol processors share
+	// state (Store, Dir, Stats, metrics), so they must execute on the same
+	// lane. On a clustered interconnect the lane is a whole node group —
+	// coarsening to the interconnect partition makes every lane pair
+	// cross-group, so the pair lookahead matrix bounds windows by the
+	// (large) top-level transit instead of the intra-group minimum.
+	gsize := 1
+	switch c.Engine {
+	case EngineSerial:
+	case EngineParallel:
+		if c.Net.Clustered() {
+			gsize = c.Net.GroupSize
+		}
+		m.lanes = c.Nodes / gsize
+		workers, err := effectiveWorkers(c.Workers, m.lanes)
+		if err != nil {
+			return err
+		}
+		m.workers = workers
+	default:
+		return fmt.Errorf("rt: unknown engine %q", c.Engine)
+	}
 	switch c.Sched {
 	case SchedWheel:
 		// Size the wheel to the machine: two processors per node can keep
@@ -368,8 +394,7 @@ func (m *Machine) Run(prog Program) error {
 	}
 	for _, n := range m.Nodes {
 		n := n
-		n.ProtoProc = m.Kernel.Spawn(fmt.Sprintf("proto%d", n.ID), n.ProtocolLoop)
-		n.ProtoProc.SetDaemon(true)
+		n.ProtoProc = m.Kernel.SpawnHandler(fmt.Sprintf("proto%d", n.ID), n.HandleDelivery)
 		if m.prof != nil {
 			// The protocol processor's whole timeline lands in the node's
 			// proto slot; its on-CPU time is protocol service by definition.
@@ -395,67 +420,43 @@ func (m *Machine) Run(prog Program) error {
 			n.Prof = np.slot
 		}
 	}
-	switch c.Engine {
-	case EngineSerial:
+	if c.Engine == EngineSerial {
 		return m.Kernel.Run()
-	case EngineParallel:
-		// A lane is the unit of concurrent execution. On a flat
-		// interconnect each node is a lane: a node's compute and protocol
-		// processors share state (Store, Dir, Stats, metrics), so they
-		// must execute on the same lane. On a clustered interconnect the
-		// lane is a whole node group — coarsening to the interconnect
-		// partition makes every lane pair cross-group, so the pair
-		// lookahead matrix bounds windows by the (large) top-level
-		// transit instead of the intra-group minimum.
-		gsize := 1
-		if c.Net.Clustered() {
-			gsize = c.Net.GroupSize
-		}
-		lanes := c.Nodes / gsize
-		workers, err := effectiveWorkers(c.Workers, lanes)
-		if err != nil {
-			return err
-		}
-		m.workers = workers
-		m.lanes = lanes
-		// Spawn order is protos 0..N-1 then computes N..2N-1, so ID mod
-		// Nodes maps both of node i's procs to node i, and dividing by
-		// the group size folds a group's nodes onto one lane.
-		pcfg := sim.ParallelConfig{
-			Workers:           workers,
-			Lanes:             lanes,
-			LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
-			NoSteal:           c.NoSteal,
-			MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
-		}
-		switch {
-		case lanes == 1:
-			// One lane has no cross-lane hazards; any positive window is
-			// conservative. The barrier cost is a comfortably wide one.
-			pcfg.Lookahead = c.Net.BarrierLatency
-		case c.Lookahead == LookaheadGlobal:
-			pcfg.Lookahead = c.Net.MinLatency()
-		default:
-			pcfg.PairLookahead = func(i, j int) sim.Time {
-				return c.Net.PairMinLatency(i*gsize, j*gsize)
-			}
-			// The executed width is the matrix's narrowest row. Every
-			// lane pair of a clustered machine crosses groups (uniform
-			// cost); on a flat one the matrix collapses to the global
-			// minimum.
-			if c.Net.Clustered() {
-				m.lookahead = c.Net.PairMinLatency(0, gsize)
-			} else {
-				m.lookahead = c.Net.MinLatency()
-			}
-		}
-		if pcfg.Lookahead > 0 {
-			m.lookahead = pcfg.Lookahead
-		}
-		return m.Kernel.RunParallel(pcfg)
-	default:
-		return fmt.Errorf("rt: unknown engine %q", c.Engine)
 	}
+	// Spawn order is protos 0..N-1 then computes N..2N-1, so ID mod Nodes
+	// maps both of node i's procs to node i, and dividing by the group size
+	// folds a group's nodes onto one lane.
+	pcfg := sim.ParallelConfig{
+		Workers:           m.workers,
+		Lanes:             m.lanes,
+		LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
+		NoSteal:           c.NoSteal,
+		MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
+	}
+	switch {
+	case m.lanes == 1:
+		// One lane has no cross-lane hazards; any positive window is
+		// conservative. The barrier cost is a comfortably wide one.
+		pcfg.Lookahead = c.Net.BarrierLatency
+	case c.Lookahead == LookaheadGlobal:
+		pcfg.Lookahead = c.Net.MinLatency()
+	default:
+		pcfg.PairLookahead = func(i, j int) sim.Time {
+			return c.Net.PairMinLatency(i*gsize, j*gsize)
+		}
+		// The executed width is the matrix's narrowest row. Every lane
+		// pair of a clustered machine crosses groups (uniform cost); on a
+		// flat one the matrix collapses to the global minimum.
+		if c.Net.Clustered() {
+			m.lookahead = c.Net.PairMinLatency(0, gsize)
+		} else {
+			m.lookahead = c.Net.MinLatency()
+		}
+	}
+	if pcfg.Lookahead > 0 {
+		m.lookahead = pcfg.Lookahead
+	}
+	return m.Kernel.RunParallel(pcfg)
 }
 
 // effectiveWorkers resolves the requested parallel-engine worker count

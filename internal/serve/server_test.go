@@ -5,6 +5,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -201,5 +202,48 @@ func TestMetricsEndpoint(t *testing.T) {
 	}
 	if doc.CacheEntries != 5 {
 		t.Fatalf("cache_entries = %d", doc.CacheEntries)
+	}
+}
+
+// TestBatchSoakHoldsNoMachines replays one uncached 40-job batch of real
+// differential chaos jobs — four small machines each — and reads the
+// host-process gauges off /metricsz after every round: a finished
+// simulation must leave neither goroutines nor heap behind.
+func TestBatchSoakHoldsNoMachines(t *testing.T) {
+	svc, cl := newTestServer(t, Config{Workers: 2, CacheBytes: 1}) // every line exceeds the budget
+	req := BatchRequest{SeedRange: &SeedRange{Start: 1, Count: 40}}
+	round := func() (goroutines, heapInuse int64) {
+		t.Helper()
+		err := cl.Batch(context.Background(), req, func(r *Result) error {
+			if r.Err != "" {
+				t.Errorf("spec %s: %s", r.SpecHash, r.Err)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		runtime.GC()
+		doc, err := cl.Metrics(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		return doc.Metrics.Counter("go_goroutines"), doc.Metrics.Counter("go_heap_inuse_bytes")
+	}
+	g0, h0 := round() // the first round pays for pools, connections and lazy set-up
+	if g0 <= 0 || h0 <= 0 {
+		t.Fatalf("host gauges not published: go_goroutines %d, go_heap_inuse_bytes %d", g0, h0)
+	}
+	const rounds = 5
+	for i := 1; i < rounds; i++ {
+		g, h := round()
+		// One pinned 40-job round is hundreds of goroutines and ~190 MB.
+		if g > g0+4 || h > h0+(16<<20) {
+			t.Fatalf("round %d: %d goroutines, %d MB heap in use; after round 0: %d, %d MB",
+				i, g, h>>20, g0, h0>>20)
+		}
+	}
+	if got, want := counter(svc, "serve/cache_misses"), int64(rounds*40); got != want {
+		t.Fatalf("%d simulations, want %d: the soak must not hit the cache", got, want)
 	}
 }

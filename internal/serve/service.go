@@ -3,6 +3,7 @@ package serve
 import (
 	"context"
 	"fmt"
+	"runtime"
 	"sync"
 	"time"
 
@@ -66,6 +67,12 @@ type Service struct {
 	predicted   *metrics.Counter
 	simulated   *metrics.Counter
 	predLatency *metrics.Histogram
+
+	// Host process gauges, published at snapshot time like depth: a run
+	// that pins its machine (a parked goroutine, a retained result) shows
+	// here as growth from batch to batch.
+	goroutines *metrics.Counter
+	heapInuse  *metrics.Counter
 }
 
 // flight is one in-progress job shared by every coalesced waiter.
@@ -105,6 +112,9 @@ func NewService(cfg Config) *Service {
 		predicted:   reg.Counter("serve/jobs_predicted"),
 		simulated:   reg.Counter("serve/jobs_simulated"),
 		predLatency: reg.Histogram("serve/predict_latency_ns"),
+
+		goroutines: reg.Counter("go_goroutines"),
+		heapInuse:  reg.Counter("go_heap_inuse_bytes"),
 	}
 	if s.runner == nil {
 		s.runner = Run
@@ -263,14 +273,18 @@ type MetricsDoc struct {
 	CacheBytes     int64            `json:"cache_bytes"`
 }
 
-// MetricsSnapshot renders the pool's instruments. The queue-depth gauge
-// is published at snapshot time (metrics.Counter.Set), like the kernel
-// statistics elsewhere in the tree.
+// MetricsSnapshot renders the pool's instruments. The queue-depth and
+// host-process gauges are published at snapshot time
+// (metrics.Counter.Set), like the kernel statistics elsewhere in the tree.
 func (s *Service) MetricsSnapshot() *MetricsDoc {
 	queued := s.pool.Depth()
+	var ms runtime.MemStats
+	runtime.ReadMemStats(&ms)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.depth.Set(int64(queued))
+	s.goroutines.Set(int64(runtime.NumGoroutine()))
+	s.heapInuse.Set(int64(ms.HeapInuse))
 	return &MetricsDoc{
 		Metrics: s.reg.Snapshot(),
 		JobLatency: LatencyQuantiles{

@@ -13,7 +13,11 @@ package sim
 // Proc the next event wakes — one rendezvous — or, when the next event
 // targets itself, simply keeps running with no channel operation at all
 // (the Sleep/self-delivery fast path). Events that wake nobody (a
-// delivery to a busy Proc) are absorbed inline without any switch.
+// delivery to a busy Proc) are absorbed inline without any switch, and so
+// are events for handler Procs, whose bodies run inside the loop
+// (handler.go): a fault's request → home handler → reply → local handler →
+// wake chain completes on the faulting Proc's goroutine and usually ends in
+// dispatchSelf.
 //
 // Run's goroutine only holds the baton at the very start and receives it
 // back — via k.park — when the simulation stops: queue drained, MaxEvents
@@ -90,8 +94,20 @@ func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
 				}
 				p.now = at
 			}
+			if p.hfn != nil {
+				continue // a handler Proc's spawn resume: counted, nothing to run
+			}
 		case evDeliver:
 			k.deliveries++
+			if p.hfn != nil {
+				// Handler Proc: its body runs here, on this goroutine, and
+				// dispatch continues (handler.go).
+				if !p.handle(Delivery{At: at, Posted: posted, From: from, Msg: msg}) {
+					k.stop, k.failed = stopPanic, p
+					return dispatchStop
+				}
+				continue
+			}
 			p.mpush(Delivery{At: at, Posted: posted, From: from, Msg: msg})
 			if p.state != stateBlockedRecv {
 				continue
@@ -118,10 +134,10 @@ func (p *Proc) yield() {
 	case dispatchSelf:
 		// Reactivated without leaving this goroutine.
 	case dispatchHandoff:
-		<-p.resume
+		p.block()
 	case dispatchStop:
 		p.k.park <- struct{}{}
-		<-p.resume // parked until the process exits (deadlocked Proc)
+		p.block() // until the returning engine reaps it
 	}
 }
 

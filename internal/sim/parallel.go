@@ -260,7 +260,19 @@ func (l *lane) laneNext(self *Proc) dispatchOutcome {
 				}
 				p.now = e.at
 			}
+			if p.hfn != nil {
+				continue
+			}
 		case evDeliver:
+			if p.hfn != nil {
+				// Handler Proc: run its body inline (handler.go). A panic
+				// stops the lane as a goroutine Proc's does (finishFrom).
+				if !p.handle(Delivery{At: e.at, Posted: e.posted, From: e.from, Msg: e.msg}) {
+					st.panicked = p.panicVal
+					l.stopped = true
+				}
+				continue
+			}
 			p.mpush(Delivery{At: e.at, Posted: e.posted, From: e.from, Msg: e.msg})
 			if p.state != stateBlockedRecv {
 				continue
@@ -284,10 +296,10 @@ func (l *lane) yieldFrom(p *Proc) {
 	switch l.laneNext(p) {
 	case dispatchSelf:
 	case dispatchHandoff:
-		<-p.resume
+		p.block()
 	case dispatchStop:
 		l.park <- struct{}{}
-		<-p.resume
+		p.block()
 	}
 }
 
@@ -482,7 +494,17 @@ func (x *winExec) next(self *Proc) dispatchOutcome {
 						}
 						p.now = e.at
 					}
+					if p.hfn != nil {
+						continue
+					}
 				case evDeliver:
+					if p.hfn != nil {
+						if !p.handle(Delivery{At: e.at, Posted: e.posted, From: e.from, Msg: e.msg}) {
+							st.panicked = p.panicVal
+							l.stopped = true
+						}
+						continue
+					}
 					p.mpush(Delivery{At: e.at, Posted: e.posted, From: e.from, Msg: e.msg})
 					if p.state != stateBlockedRecv {
 						continue
@@ -546,10 +568,10 @@ func (x *winExec) yieldFrom(p *Proc) {
 	switch x.next(p) {
 	case dispatchSelf:
 	case dispatchHandoff:
-		<-p.resume
+		p.block()
 	case dispatchStop:
 		x.k.park <- struct{}{}
-		<-p.resume
+		p.block()
 	}
 }
 
@@ -644,8 +666,8 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 			panic(fmt.Sprintf("sim: LaneOf(%q) = %d out of range [0,%d)", p.name, li, nlanes))
 		}
 		p.lane = lanes[li]
-		p.park = lanes[li].park
 	}
+	defer k.reap()
 
 	// Workers beyond GOMAXPROCS cannot add parallelism — they only add
 	// scheduling overhead and window-broadcast rendezvous — so the pool

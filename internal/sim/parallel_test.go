@@ -248,31 +248,48 @@ func TestParallelRunawayGuard(t *testing.T) {
 }
 
 func TestParallelProcPanicPropagates(t *testing.T) {
-	run := func(parallel bool) (recovered any) {
-		k := NewKernel()
-		var target *Proc
-		target = k.Spawn("victim", func(p *Proc) {
-			p.Recv()
-			panic("boom in proc")
-		})
-		k.Spawn("sender", func(p *Proc) {
-			p.Send(target, 1, 20*Microsecond)
-		})
-		defer func() { recovered = recover() }()
-		if parallel {
-			_ = k.RunParallel(ParallelConfig{Workers: 2, Lookahead: 5 * Microsecond})
-		} else {
-			_ = k.Run()
+	victims := map[string]func(k *Kernel) *Proc{
+		"goroutine": func(k *Kernel) *Proc {
+			return k.Spawn("victim", func(p *Proc) {
+				p.Recv()
+				panic("boom in proc")
+			})
+		},
+		"handler": func(k *Kernel) *Proc {
+			return k.SpawnHandler("victim", func(*Proc, Delivery) { panic("boom in proc") })
+		},
+	}
+	for name, victim := range victims {
+		run := func(par *ParallelConfig) (recovered any, log []string) {
+			k := NewKernel()
+			target := victim(k)
+			k.Spawn("sender", func(p *Proc) {
+				p.OnCommit(func() { log = append(log, "before") })
+				p.Send(target, 1, 20*Microsecond)
+				p.Sleep(30 * Microsecond)
+				p.OnCommit(func() { log = append(log, "after") }) // past the panic's global position
+			})
+			defer func() { recovered = recover() }()
+			if par != nil {
+				_ = k.RunParallel(*par)
+			} else {
+				_ = k.Run()
+			}
+			return nil, log
 		}
-		return nil
-	}
-	s := run(false)
-	p := run(true)
-	if s == nil || p == nil {
-		t.Fatalf("panic not propagated: serial %v, parallel %v", s, p)
-	}
-	if fmt.Sprint(s) != fmt.Sprint(p) {
-		t.Fatalf("panic values differ: %v vs %v", s, p)
+		s, slog := run(nil)
+		for _, workers := range []int{1, 2} {
+			p, plog := run(&ParallelConfig{Workers: workers, Lookahead: 5 * Microsecond})
+			if s == nil || p == nil {
+				t.Fatalf("%s: panic not propagated: serial %v, parallel %v", name, s, p)
+			}
+			if fmt.Sprint(s) != fmt.Sprint(p) {
+				t.Fatalf("%s: panic values differ: %v vs %v", name, s, p)
+			}
+			if fmt.Sprint(slog) != "[before]" || fmt.Sprint(plog) != "[before]" {
+				t.Fatalf("%s workers %d: effects committed around the panic: serial %v, parallel %v", name, workers, slog, plog)
+			}
+		}
 	}
 }
 

@@ -3,7 +3,11 @@
 // The kernel models a parallel machine in virtual time. Each simulated
 // activity is a Proc: a goroutine with a private virtual clock that
 // exchanges timestamped messages with other Procs and synchronizes at
-// barriers. Under the serial engine (Run) the kernel serializes execution —
+// barriers. A Proc that only ever reacts to messages — a protocol
+// processor running run-to-completion handlers — is a handler Proc
+// (SpawnHandler): the same clock, attribution and lane, but no goroutine;
+// the dispatch loop runs its body inline (see handler.go).
+// Under the serial engine (Run) the kernel serializes execution —
 // exactly one Proc goroutine runs at any real instant, and control is
 // handed out in global (timestamp, sequence) order — so simulations are
 // fully deterministic and need no locking in the simulated node state.
@@ -23,6 +27,7 @@ package sim
 
 import (
 	"fmt"
+	"runtime"
 	"sort"
 	"strings"
 )
@@ -114,10 +119,11 @@ type Proc struct {
 	mhead int
 	mlen  int
 
-	resume chan struct{}
-	park   chan struct{} // the executor's park channel (kernel's, or the lane's)
+	resume chan struct{} // nil for a handler Proc, which has no goroutine
 	lane   *lane         // non-nil while running under the parallel engine
 	fn     func(*Proc)
+	hfn    func(*Proc, Delivery) // handler Proc body (handler.go); fn is nil
+	killed bool                  // the engine is returning: exit instead of resuming
 
 	// Time attribution (record.go). aslot == nil — the default — disables
 	// charging entirely; the hot paths then pay one nil check.
@@ -352,6 +358,15 @@ func NewKernel() *Kernel {
 // running). Daemon Procs (see SetDaemon) do not prevent Run from
 // completing. Spawning after RunParallel has started is not supported.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
+	p := k.newProc(name)
+	p.fn = fn
+	p.resume = make(chan struct{})
+	go p.run()
+	return p
+}
+
+// newProc registers a Proc and posts the evResume that starts it at time 0.
+func (k *Kernel) newProc(name string) *Proc {
 	if k.started && k.parallel {
 		panic("sim: Spawn during a parallel run")
 	}
@@ -360,15 +375,9 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 		id:      len(k.procs),
 		name:    name,
 		state:   stateNew,
-		resume:  make(chan struct{}),
-		fn:      fn,
 		waitCat: CatIdle,
 	}
-	if k.started {
-		p.park = k.park
-	}
 	k.procs = append(k.procs, p)
-	go p.run()
 	e := k.pool.get()
 	e.at, e.kind, e.proc = 0, evResume, p
 	k.post(e)
@@ -377,21 +386,58 @@ func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 
 // SetDaemon marks p as a daemon: the simulation is considered complete when
 // every non-daemon Proc has finished, all remaining events have drained,
-// and every daemon is blocked waiting for messages. Protocol-handler loops
-// are daemons.
+// and every daemon is blocked waiting for messages.
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
+// run is the body of a Proc's goroutine.
 func (p *Proc) run() {
-	<-p.resume
 	defer func() {
-		if r := recover(); r != nil {
-			p.err = fmt.Errorf("proc %q panicked: %v", p.name, r)
-			p.panicVal = r
+		r := recover()
+		if p.killed {
+			p.resume <- struct{}{} // tell reap this goroutine has unwound
+			return
+		}
+		if r != nil {
+			p.recordPanic(r)
 		}
 		p.state = stateDone
 		p.finish()
 	}()
-	p.fn(p)
+	<-p.resume
+	if !p.killed {
+		p.fn(p)
+	}
+}
+
+// recordPanic notes that p's body panicked with r; the engine re-raises it.
+func (p *Proc) recordPanic(r any) {
+	p.err = fmt.Errorf("proc %q panicked: %v", p.name, r)
+	p.panicVal = r
+}
+
+// block parks the Proc's goroutine until an event hands it the baton. If
+// the engine is returning instead (reap), the goroutine unwinds — running
+// the body's deferred calls — and exits without touching the kernel.
+func (p *Proc) block() {
+	<-p.resume
+	if p.killed {
+		runtime.Goexit()
+	}
+}
+
+// reap releases every Proc goroutine still parked when the engine returns —
+// daemons blocked in Recv, deadlocked Procs, Procs a runaway or panic
+// stopped short — so a finished kernel holds no goroutine and everything it
+// references is collectable. One goroutine unwinds at a time: the serial
+// contract covers the bodies' deferred calls too.
+func (k *Kernel) reap() {
+	for _, p := range k.procs {
+		if p.resume != nil && p.state != stateDone {
+			p.killed = true
+			p.resume <- struct{}{}
+			<-p.resume
+		}
+	}
 }
 
 func (k *Kernel) post(e *event) {
@@ -491,20 +537,12 @@ func (p *Proc) SendAt(dst *Proc, msg any, at Time) {
 // attributed (transit plus pre-post wait) when profiling is on.
 func (p *Proc) Recv() Delivery {
 	for p.mlen == 0 {
+		p.mustHaveGoroutine("Recv")
 		p.state = stateBlockedRecv
 		p.yield()
 	}
 	d := p.mpop()
-	if d.At > p.now {
-		if p.aslot != nil {
-			p.chargeRecv(d.At, d.Posted, p.now)
-		}
-		if p.k.rec != nil {
-			p.record(Edge{Kind: EdgeDeliver, Src: procID(d.From), Dst: int32(p.id),
-				At: d.At, Posted: d.Posted, Prev: p.now})
-		}
-		p.now = d.At
-	}
+	p.arrive(d)
 	return d
 }
 
@@ -514,6 +552,14 @@ func (p *Proc) TryRecv() (Delivery, bool) {
 		return Delivery{}, false
 	}
 	d := p.mpop()
+	p.arrive(d)
+	return d, true
+}
+
+// arrive applies a received delivery to the clock: a binding delivery (one
+// the Proc was waiting for) jumps it to the arrival time, charged and
+// recorded; a message that waited in the mailbox leaves it alone.
+func (p *Proc) arrive(d Delivery) {
 	if d.At > p.now {
 		if p.aslot != nil {
 			p.chargeRecv(d.At, d.Posted, p.now)
@@ -524,7 +570,6 @@ func (p *Proc) TryRecv() (Delivery, bool) {
 		}
 		p.now = d.At
 	}
-	return d, true
 }
 
 // procID is the edge source id of a possibly-nil Proc.
@@ -544,6 +589,7 @@ func (p *Proc) Sleep(d Time) {
 	if d <= 0 {
 		return
 	}
+	p.mustHaveGoroutine("Sleep")
 	p.postFrom(p.now+d, evResume, p, p, nil, causeTimer)
 	p.state = stateSleeping // deliveries queue but do not wake a sleeper
 	save := p.waitCat
@@ -581,6 +627,7 @@ func (p *Proc) Wait(b *Barrier) Time {
 	if b.k != p.k {
 		panic("sim: barrier from a different kernel")
 	}
+	p.mustHaveGoroutine("Wait")
 	arrive := p.now
 	if l := p.lane; l != nil {
 		// Parallel engine: barrier state is shared across lanes, so the
@@ -644,7 +691,8 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation serially until every non-daemon Proc has
 // finished and the event queue has drained. It returns a DeadlockError if
 // non-daemon Procs remain blocked with no events pending, or the panic
-// value if a Proc panicked.
+// value if a Proc panicked. However it stops, no Proc goroutine outlives
+// it (reap).
 //
 // "Serially" means one Proc goroutine runs at a time; control is handed
 // directly from Proc to Proc in global event order (see dispatch.go), and
@@ -654,9 +702,7 @@ func (k *Kernel) Run() error {
 		return fmt.Errorf("sim: kernel already ran")
 	}
 	k.started = true
-	for _, p := range k.procs {
-		p.park = k.park
-	}
+	defer k.reap()
 	if k.serialNext(nil) == dispatchHandoff {
 		<-k.park
 	}

@@ -285,16 +285,40 @@ func TestPingPong(t *testing.T) {
 }
 
 func TestProcPanicPropagates(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic to propagate from Run")
-		}
-	}()
-	k := NewKernel()
-	k.Spawn("boom", func(p *Proc) {
-		panic("boom")
+	t.Run("goroutine", func(t *testing.T) {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("expected panic to propagate from Run")
+			}
+		}()
+		k := NewKernel()
+		k.Spawn("boom", func(p *Proc) {
+			panic("boom")
+		})
+		k.Run()
 	})
-	k.Run()
+	// A handler's panic belongs to the handler Proc, not to the Proc whose
+	// goroutine happened to be dispatching.
+	t.Run("handler", func(t *testing.T) {
+		k := NewKernel()
+		h := k.SpawnHandler("boom", func(*Proc, Delivery) { panic("boom") })
+		sender := k.Spawn("sender", func(p *Proc) {
+			p.Send(h, 1, Microsecond)
+			p.Recv() // the delivery is dispatched, and panics, on this goroutine
+		})
+		defer func() {
+			if r := recover(); r != "boom" {
+				t.Fatalf("Run panicked with %v, want boom", r)
+			}
+			if h.panicVal != "boom" || h.err == nil || h.state != stateDone {
+				t.Errorf("handler: panicVal %v, err %v, state %v", h.panicVal, h.err, h.state)
+			}
+			if sender.panicVal != nil || sender.err != nil {
+				t.Errorf("the dispatching Proc took the blame: panicVal %v, err %v", sender.panicVal, sender.err)
+			}
+		}()
+		k.Run()
+	})
 }
 
 func TestRunTwiceFails(t *testing.T) {

@@ -34,8 +34,7 @@ func newRig(t *testing.T) *rig {
 	r.node.Peers = peers
 	r.peer.Peers = peers
 	r.proto.Init(r.node)
-	r.node.ProtoProc = r.k.Spawn("proto0", r.node.ProtocolLoop)
-	r.node.ProtoProc.SetDaemon(true)
+	r.node.ProtoProc = r.k.SpawnHandler("proto0", r.node.HandleDelivery)
 	return r
 }
 

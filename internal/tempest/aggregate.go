@@ -36,9 +36,9 @@ import (
 //     flushes immediately, bounding buffered data and message size.
 //  2. End of operation: the pre-send walk and a write-update push
 //     flush what they buffered before returning.
-//  3. Idle protocol processor: ProtocolLoop flushes before blocking in
-//     Recv, so buffered gather replies ride out as soon as the request
-//     burst that produced them drains.
+//  3. Idle protocol processor: HandleDelivery flushes as each handler
+//     completes, so buffered gather replies ride out with the request
+//     that produced them.
 //  4. Phase boundary: the runtime flushes at every barrier arrival as a
 //     safety net.
 //
@@ -194,7 +194,7 @@ func (n *Node) flushAggGroup(src *sim.Proc, g int) {
 
 // redistributeAgg is the group leader's half: re-post each part to its
 // final destination over the intra-group fabric as an ordinary MsgBulk.
-// Runs on the leader's protocol processor (ProtocolLoop intercepts
+// Runs on the leader's protocol processor (HandleDelivery intercepts
 // MsgAgg before protocol dispatch — no protocol ever sees one).
 func (n *Node) redistributeAgg(p *sim.Proc, agg MsgAgg) {
 	for _, part := range agg.Parts {

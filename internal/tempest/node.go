@@ -311,7 +311,7 @@ func (n *Node) ResetPresendCounters(id int) {
 }
 
 // tracedMsg wraps a protocol message with the flow ID that links its
-// traced Send event to the Recv event; ProtocolLoop unwraps it before
+// traced Send event to the Recv event; HandleDelivery unwraps it before
 // dispatch. Only used while tracing is enabled.
 type tracedMsg struct {
 	Msg  Msg
@@ -671,40 +671,38 @@ func (n *Node) PopSignal() (sim.Delivery, bool) {
 	return d, true
 }
 
-// ProtocolLoop is the protocol processor's body: dispatch messages to the
-// protocol until the simulation drains (the Proc runs as a daemon).
-func (n *Node) ProtocolLoop(p *sim.Proc) {
-	for {
-		d := p.Recv()
-		p.Advance(n.Net.RecvOverheadAt(p.Now(), n.ID))
-		var flow int64
-		if tm, ok := d.Msg.(tracedMsg); ok {
-			d.Msg = tm.Msg
-			flow = tm.Flow
-		}
-		if m, ok := d.Msg.(Msg); ok {
-			n.Met.Recv[KindOf(m)].Inc()
-			if n.Trace != nil {
-				ev := trace.Event{
-					At: p.Now(), Node: n.ID, Proc: trace.ProcProto, Kind: trace.Recv,
-					Phase: n.phaseID, Iter: n.phaseIter, Flow: flow,
-					What: MsgString(m),
-				}
-				p.OnCommit(func() { n.Trace.Record(ev) })
+// HandleDelivery is the protocol processor's body: one run-to-completion
+// dispatch of a message to the protocol. The protocol processor is a
+// handler Proc (sim.Kernel.SpawnHandler), so this runs once per delivery.
+func (n *Node) HandleDelivery(p *sim.Proc, d sim.Delivery) {
+	p.Advance(n.Net.RecvOverheadAt(p.Now(), n.ID))
+	var flow int64
+	if tm, ok := d.Msg.(tracedMsg); ok {
+		d.Msg = tm.Msg
+		flow = tm.Flow
+	}
+	if m, ok := d.Msg.(Msg); ok {
+		n.Met.Recv[KindOf(m)].Inc()
+		if n.Trace != nil {
+			ev := trace.Event{
+				At: p.Now(), Node: n.ID, Proc: trace.ProcProto, Kind: trace.Recv,
+				Phase: n.phaseID, Iter: n.phaseIter, Flow: flow,
+				What: MsgString(m),
 			}
+			p.OnCommit(func() { n.Trace.Record(ev) })
 		}
-		if agg, ok := d.Msg.(MsgAgg); ok {
-			// Node-leader aggregate: redistribute the parts here; the
-			// protocol only ever sees ordinary MsgBulk.
-			n.redistributeAgg(p, agg)
-		} else {
-			n.Proto.Handle(n, d)
-		}
-		if n.aggOn && len(n.aggDirty) > 0 && p.Pending() == 0 {
-			// About to block in Recv with bulks still buffered (e.g.
-			// gather replies from a request burst): flush now, so no
-			// one ever waits on data parked in an idle node's buffer.
-			n.FlushAgg(p)
-		}
+	}
+	if agg, ok := d.Msg.(MsgAgg); ok {
+		// Node-leader aggregate: redistribute the parts here; the
+		// protocol only ever sees ordinary MsgBulk.
+		n.redistributeAgg(p, agg)
+	} else {
+		n.Proto.Handle(n, d)
+	}
+	if n.aggOn && len(n.aggDirty) > 0 {
+		// The handler is done with bulks still buffered (e.g. gather
+		// replies from a request burst): flush now, so no one ever
+		// waits on data parked in an idle node's buffer.
+		n.FlushAgg(p)
 	}
 }

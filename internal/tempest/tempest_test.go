@@ -258,8 +258,7 @@ func twoNodes(t *testing.T) (*sim.Kernel, []*Node, *nullProto) {
 	}
 	for _, n := range nodes {
 		n := n
-		n.ProtoProc = k.Spawn("proto", n.ProtocolLoop)
-		n.ProtoProc.SetDaemon(true)
+		n.ProtoProc = k.SpawnHandler("proto", n.HandleDelivery)
 	}
 	return k, nodes, proto
 }
