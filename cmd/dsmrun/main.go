@@ -9,7 +9,7 @@
 //	       [-metrics out.json] [-metrics-out out.json]
 //	       [-profile] [-profile-out profile.json] [-predict]
 //	       [-trace-out t.json] [-trace-format chrome|jsonl]
-//	       [-engine serial|parallel] [-workers N] [-sched wheel|heap]
+//	       [-engine serial|parallel] [-workers N]
 //	       [-cpuprofile f] [-memprofile f]
 //
 // -metrics writes the machine's full metrics report (breakdown, per-phase
@@ -46,8 +46,8 @@
 // -engine parallel runs the simulation on the kernel's conservative
 // parallel engine; every output (breakdown, metrics, traces) is
 // byte-identical to -engine serial — only wall-clock time changes.
-// -sched heap swaps the kernel's timing-wheel event scheduler for the
-// binary-heap reference (also byte-identical; differential testing).
+// A bad -protocol, -block, -nodes, -engine, -net or -workers value exits
+// with status 2 and a one-line error.
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself.
 package main
 
@@ -62,7 +62,6 @@ import (
 	"presto/internal/apps/barnes"
 	"presto/internal/apps/water"
 	"presto/internal/causal"
-	"presto/internal/network"
 	"presto/internal/predict"
 	"presto/internal/prof"
 	"presto/internal/rt"
@@ -72,46 +71,30 @@ import (
 
 func main() {
 	app := flag.String("app", "", "application: adaptive, barnes or water")
-	protocol := flag.String("protocol", "stache", "coherence protocol")
-	nodes := flag.Int("nodes", 32, "simulated node count")
-	block := flag.Int("block", 32, "cache block size in bytes")
-	netName := flag.String("net", "cm5", "interconnect preset: "+network.Grammars())
-	aggregate := flag.Bool("aggregate", false, "enable node-leader message aggregation (hierarchical -net presets)")
+	machine := rt.BindFlags(flag.CommandLine, true)
 	size := flag.Int("size", 0, "problem size (mesh edge / bodies / molecules); 0 = paper size")
 	iters := flag.Int("iters", 0, "iterations; 0 = paper count")
 	spmd := flag.Bool("spmd", false, "barnes: hand-optimized SPMD baseline (use -protocol update)")
 	splash := flag.Bool("splash", false, "water: Splash-2 shared-memory variant")
 	metricsOut := flag.String("metrics", "", "write the metrics report as JSON to this file (\"-\" = stdout)")
 	metricsOut2 := flag.String("metrics-out", "", "alias for -metrics: write the metrics report (including the full metrics registry) as JSON")
-	profile := flag.Bool("profile", false, "enable the causal profiler and print the critical-path/attribution report")
 	predictFlag := flag.Bool("predict", false, "validate the analytical predictor against this run: record a 32B calibration of the same configuration, predict this block size, print the predicted-vs-simulated error table")
 	profileOut := flag.String("profile-out", "", "with -profile: write the profile.json artifact to this file (\"-\" = stdout)")
 	traceOut := flag.String("trace-out", "", "write the protocol event trace to this file")
 	traceFormat := flag.String("trace-format", "chrome", "trace format: chrome or jsonl")
-	engine := flag.String("engine", "serial", "kernel engine: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS)")
-	sched := flag.String("sched", "wheel", "kernel event scheduler: wheel or heap")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	stopProf = prof.Start(*cpuprofile, *memprofile)
-	defer stopProf()
-
-	netParams, err := network.Preset(*netName)
+	mc, err := machine()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmrun: %v\n", err)
 		os.Exit(2)
 	}
-	if err := netParams.Validate(); err != nil {
-		fatal(err)
-	}
 
-	mc := rt.Config{
-		Nodes: *nodes, BlockSize: *block, Protocol: rt.ProtocolKind(*protocol),
-		Net: netParams, Engine: rt.EngineKind(*engine), Workers: *workers,
-		Sched: rt.SchedKind(*sched), Profile: *profile, Aggregate: *aggregate,
-	}
+	stopProf = prof.Start(*cpuprofile, *memprofile)
+	defer stopProf()
+
 	if *metricsOut == "" {
 		*metricsOut = *metricsOut2
 	}
@@ -173,7 +156,7 @@ func main() {
 	}
 
 	var prof *causal.Profile
-	if *profile && m != nil {
+	if mc.Profile && m != nil {
 		prof, err = m.Profile(*app)
 		if err != nil {
 			fatal(err)
@@ -225,11 +208,10 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, *nodes, *block, *protocol)
+	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, mc.Nodes, mc.BlockSize, mc.Protocol)
 	if m != nil && mc.Engine == rt.EngineParallel {
 		ei := m.ExecInfo()
-		fmt.Printf("  engine            parallel: %d workers over %d lanes, %s lookahead\n",
-			ei.Workers, ei.Lanes, ei.Lookahead)
+		fmt.Printf("  engine            parallel: %d workers over %d lanes\n", ei.Workers, ei.Lanes)
 	}
 	fmt.Printf("  execution time    %v\n", b.Elapsed)
 	fmt.Printf("  remote-data wait  %v\n", b.RemoteWait)

@@ -1,0 +1,76 @@
+package main
+
+import (
+	"bytes"
+	"errors"
+	"os"
+	"os/exec"
+	"strings"
+	"testing"
+)
+
+// TestMain lets the test binary stand in for the dsmrun binary: re-executed
+// with asMain as its first argument it runs main() on the rest, so the
+// smoke tests below observe the real exit status and stderr without a
+// separate go build.
+func TestMain(m *testing.M) {
+	if len(os.Args) > 1 && os.Args[1] == asMain {
+		os.Args = append(os.Args[:1], os.Args[2:]...)
+		main()
+		os.Exit(0)
+	}
+	os.Exit(m.Run())
+}
+
+const asMain = "run-as-main"
+
+// run executes main in a child process and a scratch directory and
+// returns its exit status, stdout and stderr.
+func run(t *testing.T, args string) (int, string, string) {
+	t.Helper()
+	var stdout, stderr bytes.Buffer
+	cmd := exec.Command(os.Args[0], append([]string{asMain}, strings.Fields(args)...)...)
+	cmd.Dir = t.TempDir()
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err := cmd.Run()
+	var exit *exec.ExitError
+	if err != nil && !errors.As(err, &exit) {
+		t.Fatal(err)
+	}
+	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
+}
+
+// TestBadFlagsExitTwo: a bad configuration value is a usage error — exit
+// status 2 and one line on stderr naming the value, never a Go panic.
+func TestBadFlagsExitTwo(t *testing.T) {
+	for args, want := range map[string]string{
+		"-protocol foo":                        `unknown protocol "foo"`,
+		"-block 48":                            "block size 48",
+		"-nodes 5000":                          "node count 5000",
+		"-engine warp":                         `unknown engine "warp"`,
+		"-net infiniband":                      `unknown preset "infiniband"`,
+		"-nodes 8 -net cluster:4x4":            "describes 16 nodes",
+		"-engine parallel -nodes 4 -workers 9": "4 lanes",
+	} {
+		code, _, stderr := run(t, "-app water "+args)
+		if code != 2 || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("%s: exit %d, stderr %q; want exit 2 and one line containing %q", args, code, stderr, want)
+		}
+	}
+	// The retired scheduler flag is gone: the flag package rejects it.
+	if code, _, stderr := run(t, "-app water -sched=heap"); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
+		t.Errorf("-sched=heap: exit %d, stderr %q; want exit 2 (undefined flag)", code, stderr)
+	}
+}
+
+func TestTinyRun(t *testing.T) {
+	code, stdout, stderr := run(t, "-app water -protocol predictive -nodes 4 -size 16 -iters 2 -engine parallel -workers 2")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	for _, want := range []string{"water on 4 nodes, 32B blocks, predictive protocol", "2 workers over 4 lanes", "energy checksum"} {
+		if !strings.Contains(stdout, want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+}

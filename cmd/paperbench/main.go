@@ -5,7 +5,7 @@
 //	paperbench [-experiment all|table1|figure4|figure5|figure6|figure7|scale|sweep|ablate-*]
 //	           [-list] [-scale quick|paper] [-net <preset>] [-aggregate]
 //	           [-csv out.csv] [-json out.json]
-//	           [-engine serial|parallel] [-workers N] [-sched wheel|heap]
+//	           [-engine serial|parallel] [-workers N]
 //	           [-profile] [-predict]
 //	           [-kernel-bench out.json] [-kernel-filter re]
 //	           [-kernel-diff base.json] [-kernel-diff-out diff.json]
@@ -42,9 +42,9 @@
 //
 // -engine parallel runs the simulation kernel's conservative parallel
 // engine (results are byte-identical to serial; only wall clock changes).
-// -workers caps its worker goroutines (default GOMAXPROCS). -sched heap
-// swaps the kernel's timing-wheel event scheduler for the binary-heap
-// reference (also byte-identical; differential testing).
+// -workers caps its worker goroutines (default GOMAXPROCS). A bad
+// -engine, -net or -workers value exits with status 2 and a one-line
+// error.
 //
 // -kernel-bench runs the kernel hot-path micro-benchmarks
 // (internal/kernelbench) plus a serial-vs-parallel wall-clock comparison
@@ -85,7 +85,6 @@ import (
 
 	"presto/internal/harness"
 	"presto/internal/kernelbench"
-	"presto/internal/network"
 	"presto/internal/predict"
 	"presto/internal/prof"
 	"presto/internal/rt"
@@ -95,14 +94,11 @@ func main() {
 	expID := flag.String("experiment", "all", "experiment ID or 'all'")
 	list := flag.Bool("list", false, "list experiment IDs with descriptions and exit")
 	scaleStr := flag.String("scale", "quick", "workload scale: quick or paper")
-	netName := flag.String("net", "", "override the default interconnect preset ("+network.Grammars()+"); experiments with per-row presets keep them")
-	aggregate := flag.Bool("aggregate", false, "enable node-leader message aggregation (hierarchical -net presets)")
+	// -net, -aggregate, -engine, -workers, -profile: stamped onto every
+	// machine the experiments build (rows with their own preset keep it).
+	machine := rt.BindFlags(flag.CommandLine, false)
 	csvPath := flag.String("csv", "", "also write rows as CSV to this file")
 	jsonPath := flag.String("json", "BENCH_results.json", "write machine-readable results to this file (\"\" disables)")
-	engine := flag.String("engine", "serial", "kernel engine: serial or parallel")
-	workers := flag.Int("workers", 0, "parallel-engine workers (0 = GOMAXPROCS)")
-	sched := flag.String("sched", "wheel", "kernel event scheduler: wheel or heap")
-	profile := flag.Bool("profile", false, "enable the causal profiler on the figure experiments: rows gain a validated attribution profile, rendered after the phase tables and exported in -json")
 	predictFlag := flag.Bool("predict", false, "answer the figure and sweep experiments from the analytical predictor (one calibration per program/protocol, no per-row simulation) and append the predictor-vs-simulation error table (predict-error) to the run and the -json artifact")
 	predictValidate := flag.String("predict-validate", "", "run the predictor validation gate — every figure 5-7 configuration plus a -predict-band chaos seed band at the 2x block-size extrapolation — write the error table CSV to this `file` and exit non-zero unless the mean absolute elapsed-time error is under 15%")
 	predictBand := flag.Int("predict-band", 100, "chaos seeds in the -predict-validate band")
@@ -123,6 +119,11 @@ func main() {
 		}
 		return
 	}
+	mc, err := machine()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(2)
+	}
 
 	stopProf := prof.Start(*cpuprofile, *memprofile)
 	defer stopProf()
@@ -135,24 +136,12 @@ func main() {
 
 	opts := harness.Options{
 		Scale:     harness.ParseScale(*scaleStr),
-		Engine:    rt.EngineKind(*engine),
-		Workers:   *workers,
-		Sched:     rt.SchedKind(*sched),
-		Profile:   *profile,
+		Engine:    mc.Engine,
+		Workers:   mc.Workers,
+		Net:       mc.Net,
+		Aggregate: mc.Aggregate,
+		Profile:   mc.Profile,
 		Predict:   *predictFlag,
-		Aggregate: *aggregate,
-	}
-	if *netName != "" {
-		p, err := network.Preset(*netName)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
-		}
-		if err := p.Validate(); err != nil {
-			fmt.Fprintln(os.Stderr, "paperbench:", err)
-			os.Exit(2)
-		}
-		opts.Net = p
 	}
 
 	if *predictValidate != "" {

@@ -25,7 +25,6 @@
 package blockstate
 
 import (
-	"fmt"
 	"math/bits"
 	"sort"
 
@@ -43,18 +42,6 @@ const (
 	// the storage differential oracle in internal/chaos.
 	MapRef Kind = "mapref"
 )
-
-// Parse validates a backend name. An empty string parses to Dense,
-// matching New.
-func Parse(s string) (Kind, error) {
-	switch Kind(s) {
-	case "":
-		return Dense, nil
-	case Dense, MapRef:
-		return Kind(s), nil
-	}
-	return "", fmt.Errorf("blockstate: unknown storage backend %q (want %q or %q)", s, Dense, MapRef)
-}
 
 // Store is per-block protocol state keyed by memory.Block. Values are
 // addressed by pointer; pointers returned by Get/Ensure stay valid until

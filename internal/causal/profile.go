@@ -117,13 +117,10 @@ type PathProfile struct {
 // vary run to run (they never feed fingerprints or goldens).
 type EngineProfile struct {
 	Workers int `json:"workers"`
-	// Lanes is the engine's lane count; Lookahead names the window
-	// derivation ("pair" or "global").
-	Lanes     int    `json:"lanes,omitempty"`
-	Lookahead string `json:"lookahead,omitempty"`
-	// LookaheadNS is the executed window width: the pair matrix's
-	// narrowest row under "pair", the interconnect's global minimum
-	// latency under "global".
+	// Lanes is the engine's lane count.
+	Lanes int `json:"lanes,omitempty"`
+	// LookaheadNS is the executed window width: the narrowest row of the
+	// lane-pair lookahead matrix.
 	LookaheadNS   int64   `json:"lookahead_ns"`
 	Windows       int64   `json:"windows"`
 	Events        int64   `json:"events"`
@@ -328,8 +325,8 @@ func (p *Profile) Render(w io.Writer) {
 		fmt.Fprintf(w, "\nparallel engine: %d windows, %d events (%.1f events/window), %d solo-lane windows (%.1f%%)\n",
 			f.Windows, f.Events, avg(f.Events, f.Windows), f.SoloWindows, pct(f.SoloWindows, f.Windows))
 		if f.Lanes > 0 {
-			fmt.Fprintf(w, "  %d lanes, %s lookahead %v; %d merged-commit windows (%.1f%%), %d steals\n",
-				f.Lanes, orDefault(f.Lookahead, "global"), sim.Time(f.LookaheadNS),
+			fmt.Fprintf(w, "  %d lanes, lookahead %v; %d merged-commit windows (%.1f%%), %d steals\n",
+				f.Lanes, sim.Time(f.LookaheadNS),
 				f.MergedWindows, pct(f.MergedWindows, f.Windows), f.Steals)
 		}
 		fmt.Fprintf(w, "  active lanes per window:")

@@ -26,8 +26,8 @@ func TestAggregationBand(t *testing.T) {
 	clustered, aggregated := 0, 0
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := Derive(seed, ScaleQuick)
-		off := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
-		on := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
+		off := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: aggMaxEvents})
+		on := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: aggMaxEvents, Aggregate: true})
 		if !off.Clean() || !on.Clean() {
 			t.Fatalf("seed %d (%s): unclean runs:\noff: %v\non:  %v", seed, s, off, on)
 		}
@@ -35,7 +35,7 @@ func TestAggregationBand(t *testing.T) {
 			t.Fatalf("seed %d (%s): aggregation changed memory: %016x vs %016x",
 				seed, s, off.MemHash, on.MemHash)
 		}
-		onPar := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineParallel, "", aggMaxEvents)
+		onPar := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, Engine: rt.EngineParallel, MaxEvents: aggMaxEvents, Aggregate: true})
 		if d := on.diff(onPar); len(d) != 0 {
 			t.Fatalf("seed %d (%s): aggregated engines diverge: %v", seed, s, d)
 		}
@@ -58,6 +58,24 @@ func TestAggregationBand(t *testing.T) {
 		t.Fatalf("no clustered seed sent aggregates (%d clustered seeds)", clustered)
 	}
 	t.Logf("%d clustered seeds, %d with aggregate traffic", clustered, aggregated)
+}
+
+// TestSingleRunAggregates pins that one configured run honors
+// rt.Config.Aggregate (the retired ExecuteRun built its machine without
+// it): seed 80 derives a cluster:2x2 machine with broadcast phases, so
+// leader aggregates must flow and every coalesced entry must arrive.
+func TestSingleRunAggregates(t *testing.T) {
+	s := Derive(80, ScaleQuick)
+	if !s.clustered() {
+		t.Fatalf("seed 80 no longer derives a clustered interconnect: %s", s)
+	}
+	fp := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: aggMaxEvents, Aggregate: true})
+	if !fp.Clean() {
+		t.Fatalf("unclean run: %v", fp)
+	}
+	if c := fp.Counters; c.AggEntriesOut == 0 || c.AggEntriesOut != c.AggEntriesIn {
+		t.Fatalf("aggregation did not run or lost entries: out=%d in=%d", c.AggEntriesOut, c.AggEntriesIn)
+	}
 }
 
 // TestAggDropMutationCaughtAndShrunk injects the aggregation
@@ -112,8 +130,8 @@ func TestHierarchicalTopologySeeds(t *testing.T) {
 	s.Nodes = 16
 	s.Net = "fattree:2"
 	s.Elems = 4 * s.Nodes
-	serial := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineSerial, "", aggMaxEvents)
-	par := ExecuteAggregated(s, rt.ProtoPredictive, rt.EngineParallel, "", aggMaxEvents)
+	serial := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: aggMaxEvents, Aggregate: true})
+	par := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, Engine: rt.EngineParallel, MaxEvents: aggMaxEvents, Aggregate: true})
 	if !serial.Clean() {
 		t.Fatalf("fat-tree run unclean: %v", serial)
 	}

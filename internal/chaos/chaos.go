@@ -66,9 +66,10 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// derive expands a seed under the campaign's scale, caps and jitter
-// policy.
-func (o Options) derive(seed int64) Spec {
+// Derive expands a seed under the campaign's scale, caps and jitter
+// policy (see JitterPct) — the one derivation RunSeed and the service's
+// single-combination jobs share.
+func (o Options) Derive(seed int64) Spec {
 	s := DeriveCapped(seed, o.Scale, o.Caps)
 	switch {
 	case o.JitterPct > 0:

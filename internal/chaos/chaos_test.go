@@ -115,8 +115,8 @@ func TestMutationCaughtAndShrunk(t *testing.T) {
 // the simulation).
 func TestExecuteDeterministic(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	a := Execute(s, rt.ProtoPredictive, rt.EngineParallel, "", 1_000_000)
-	b := Execute(s, rt.ProtoPredictive, rt.EngineParallel, "", 1_000_000)
+	a := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, Engine: rt.EngineParallel, MaxEvents: 1_000_000})
+	b := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, Engine: rt.EngineParallel, MaxEvents: 1_000_000})
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("repeated runs diverge:\n%v\n%v", a, b)
 	}

@@ -65,7 +65,7 @@ func RunSeed(seed int64, o Options) SeedResult {
 	o = o.withDefaults()
 	res := SeedResult{
 		Seed: seed,
-		Spec: o.derive(seed),
+		Spec: o.Derive(seed),
 		Runs: make(map[string]Fingerprint),
 	}
 	fail := func(format string, args ...any) {
@@ -89,7 +89,10 @@ func RunSeed(seed int64, o Options) SeedResult {
 			if engineMutation(mut) && e != rt.EngineParallel {
 				mut = ""
 			}
-			fp := execute(res.Spec, p, e, mut, o.MaxEvents, "", "", agg)
+			fp := Execute(res.Spec, rt.Config{
+				Protocol: p, Engine: e, ChaosMutation: mut,
+				MaxEvents: o.MaxEvents, Aggregate: agg,
+			})
 			res.Runs[comboKey(p, e)] = fp
 			fps[i] = fp
 			if fp.Err != "" {

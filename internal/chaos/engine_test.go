@@ -7,15 +7,13 @@ import (
 	"presto/internal/rt"
 )
 
-// TestEngineLookaheadBand is the multi-core engine's fingerprint band:
+// TestEngineWorkersBand is the multi-core engine's fingerprint band:
 // 200 seeds, each run serially and then under the parallel engine with
-// {global, pair} lookahead × {1, 4} workers (clamped to the derived lane
-// count). Every combination must produce a fingerprint byte-identical to
-// the serial reference. Roughly a third of the derived shapes carry a
-// cluster:<g>x2 interconnect, exercising lane coarsening and the widened
-// cross-group windows.
-func TestEngineLookaheadBand(t *testing.T) {
-	const maxEvents = 5_000_000
+// {1, 4} workers (clamped to the derived lane count). Every run must
+// produce a fingerprint byte-identical to the serial reference. Roughly
+// a third of the derived shapes carry a cluster:<g>x2 interconnect,
+// exercising lane coarsening and the widened cross-group windows.
+func TestEngineWorkersBand(t *testing.T) {
 	protos := []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive}
 	clustered := 0
 	for seed := int64(0); seed < 200; seed++ {
@@ -23,37 +21,20 @@ func TestEngineLookaheadBand(t *testing.T) {
 		if strings.HasPrefix(s.Net, "cluster:") {
 			clustered++
 		}
-		proto := protos[seed%2]
-		serial := Execute(s, proto, rt.EngineSerial, "", maxEvents)
+		cfg := rt.Config{Protocol: protos[seed%2], MaxEvents: 5_000_000}
+		serial := Execute(s, cfg)
 		if serial.Err != "" {
 			t.Fatalf("seed %d (%s): serial run errored: %s", seed, s, serial.Err)
 		}
-		for _, la := range []rt.LookaheadKind{rt.LookaheadGlobal, rt.LookaheadPair} {
-			for _, workers := range []int{1, 4} {
-				fp := ExecuteEngine(s, proto, EngineConfig{Workers: workers, Lookahead: la}, maxEvents)
-				if d := serial.diff(fp); len(d) > 0 {
-					t.Fatalf("seed %d (%s) %s workers=%d diverged from serial: %v",
-						seed, s, la, workers, d)
-				}
+		cfg.Engine = rt.EngineParallel
+		for _, cfg.Workers = range []int{1, 4} {
+			if d := serial.diff(Execute(s, cfg)); len(d) > 0 {
+				t.Fatalf("seed %d (%s) workers=%d diverged from serial: %v", seed, s, cfg.Workers, d)
 			}
 		}
 	}
 	if clustered == 0 {
 		t.Fatal("band derived no clustered interconnects; the pair matrix went unexercised")
-	}
-}
-
-// TestEngineNoStealIdentity: the work-stealing ablation may change which
-// worker executes a lane, never the outcome.
-func TestEngineNoStealIdentity(t *testing.T) {
-	const maxEvents = 5_000_000
-	for seed := int64(0); seed < 40; seed++ {
-		s := Derive(seed, ScaleQuick)
-		steal := ExecuteEngine(s, rt.ProtoPredictive, EngineConfig{Workers: 4}, maxEvents)
-		noSteal := ExecuteEngine(s, rt.ProtoPredictive, EngineConfig{Workers: 4, NoSteal: true}, maxEvents)
-		if d := steal.diff(noSteal); len(d) > 0 {
-			t.Fatalf("seed %d (%s): stealing changed the outcome: %v", seed, s, d)
-		}
 	}
 }
 

@@ -21,8 +21,8 @@ func TestAttributionInvariantBand(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		s := Derive(seed, ScaleQuick)
 		proto := protos[seed%int64(len(protos))]
-		base := Execute(s, proto, rt.EngineSerial, "", profMaxEvents)
-		fp, p, err := ExecuteProfiled(s, proto, rt.EngineSerial, profMaxEvents)
+		base := Execute(s, rt.Config{Protocol: proto, MaxEvents: profMaxEvents})
+		fp, p, err := ExecuteProfiled(s, rt.Config{Protocol: proto, MaxEvents: profMaxEvents})
 		if err != nil {
 			t.Fatalf("seed %d %s: %v\nspec: %s", seed, proto, err, s)
 		}
@@ -42,8 +42,8 @@ func TestAttributionInvariantBand(t *testing.T) {
 func TestAttributionInvariantParallel(t *testing.T) {
 	for seed := int64(0); seed < 24; seed++ {
 		s := Derive(seed, ScaleQuick)
-		base := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", profMaxEvents)
-		fp, p, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineParallel, profMaxEvents)
+		base := Execute(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: profMaxEvents})
+		fp, p, err := ExecuteProfiled(s, rt.Config{Protocol: rt.ProtoPredictive, Engine: rt.EngineParallel, MaxEvents: profMaxEvents})
 		if err != nil {
 			t.Fatalf("seed %d: %v\nspec: %s", seed, err, s)
 		}
@@ -68,8 +68,8 @@ func TestPhaseMetricsParallelMatchesSerial(t *testing.T) {
 	for seed := int64(0); seed < 16; seed++ {
 		s := Derive(seed, ScaleQuick)
 		for _, proto := range []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive} {
-			_, ms := run(s, proto, rt.EngineSerial, "", profMaxEvents, "", "", false, false)
-			_, mp := run(s, proto, rt.EngineParallel, "", profMaxEvents, "", "", false, false)
+			_, ms := runMachine(s, rt.Config{Protocol: proto, MaxEvents: profMaxEvents})
+			_, mp := runMachine(s, rt.Config{Protocol: proto, Engine: rt.EngineParallel, MaxEvents: profMaxEvents})
 			if ms == nil || mp == nil {
 				t.Fatalf("seed %d %s: run failed", seed, proto)
 			}
@@ -96,11 +96,11 @@ func mustJSON(t *testing.T, v any) []byte {
 // so accidental attribution drift is caught: same seed, same buckets.
 func TestProfiledGoldenStability(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	_, a, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineSerial, profMaxEvents)
+	_, a, err := ExecuteProfiled(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: profMaxEvents})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, b, err := ExecuteProfiled(s, rt.ProtoPredictive, rt.EngineSerial, profMaxEvents)
+	_, b, err := ExecuteProfiled(s, rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: profMaxEvents})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,8 +26,10 @@ func TestSchedDifferential(t *testing.T) {
 		s := Derive(seed, ScaleQuick)
 		for _, proto := range protos {
 			for _, engine := range engines {
-				wheel := ExecuteSched(s, proto, engine, rt.SchedWheel, 2_000_000)
-				heap := ExecuteSched(s, proto, engine, rt.SchedHeap, 2_000_000)
+				cfg := rt.Config{Protocol: proto, Engine: engine, MaxEvents: 2_000_000, Sched: rt.SchedWheel}
+				wheel := Execute(s, cfg)
+				cfg.Sched = rt.SchedHeap
+				heap := Execute(s, cfg)
 				if !reflect.DeepEqual(wheel, heap) {
 					t.Fatalf("seed %d %s/%s: wheel vs heap diverge on %v\nwheel: %v\nheap:  %v",
 						seed, proto, engine, wheel.diff(heap), wheel, heap)
@@ -44,8 +46,10 @@ func TestSchedDifferential(t *testing.T) {
 // behave exactly like an explicit rt.SchedWheel.
 func TestSchedDefaultIsWheel(t *testing.T) {
 	s := Derive(7, ScaleQuick)
-	def := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000)
-	wheel := ExecuteSched(s, rt.ProtoPredictive, rt.EngineSerial, rt.SchedWheel, 2_000_000)
+	cfg := rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: 2_000_000}
+	def := Execute(s, cfg)
+	cfg.Sched = rt.SchedWheel
+	wheel := Execute(s, cfg)
 	if !reflect.DeepEqual(def, wheel) {
 		t.Fatalf("default scheduler diverges from wheel: %v", def.diff(wheel))
 	}

@@ -24,8 +24,10 @@ func TestStorageDifferential(t *testing.T) {
 	for seed := int64(1); seed <= int64(seeds); seed++ {
 		s := Derive(seed, ScaleQuick)
 		for _, proto := range protos {
-			dense := ExecuteStorage(s, proto, rt.EngineSerial, "", 2_000_000, blockstate.Dense)
-			ref := ExecuteStorage(s, proto, rt.EngineSerial, "", 2_000_000, blockstate.MapRef)
+			cfg := rt.Config{Protocol: proto, MaxEvents: 2_000_000, Storage: blockstate.Dense}
+			dense := Execute(s, cfg)
+			cfg.Storage = blockstate.MapRef
+			ref := Execute(s, cfg)
 			if !reflect.DeepEqual(dense, ref) {
 				t.Fatalf("seed %d %s: dense vs map-reference diverge on %v\ndense: %v\nref:   %v",
 					seed, proto, dense.diff(ref), dense, ref)
@@ -41,8 +43,10 @@ func TestStorageDifferential(t *testing.T) {
 // behave exactly like an explicit blockstate.Dense.
 func TestStorageDefaultIsDense(t *testing.T) {
 	s := Derive(11, ScaleQuick)
-	def := Execute(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000)
-	dense := ExecuteStorage(s, rt.ProtoPredictive, rt.EngineSerial, "", 2_000_000, blockstate.Dense)
+	cfg := rt.Config{Protocol: rt.ProtoPredictive, MaxEvents: 2_000_000}
+	def := Execute(s, cfg)
+	cfg.Storage = blockstate.Dense
+	dense := Execute(s, cfg)
 	if !reflect.DeepEqual(def, dense) {
 		t.Fatalf("default storage diverges from dense: %v", def.diff(dense))
 	}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"presto/internal/blockstate"
 	"presto/internal/causal"
 	"presto/internal/check"
 	"presto/internal/memory"
@@ -80,85 +79,17 @@ func (f Fingerprint) diff(g Fingerprint) []string {
 	return out
 }
 
-// Execute runs the spec once under one protocol × engine combination and
-// fingerprints the outcome. mutation names an injected protocol defect
-// (rt.Mutation*; empty for honest runs); maxEvents guards against
-// livelock (a mutated protocol may spin).
-func Execute(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, "", "", false)
-}
-
-// ExecuteAggregated is Execute with node-leader aggregation enabled
-// (rt.Config.Aggregate; a timing-visible no-op on flat interconnects).
-func ExecuteAggregated(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, "", "", true)
-}
-
-// ExecuteStorage is Execute with an explicit block-state storage backend
-// (the dense-vs-map differential; empty means the dense default).
-func ExecuteStorage(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind) Fingerprint {
-	return execute(s, proto, engine, mutation, maxEvents, storage, "", false)
-}
-
-// ExecuteSched is Execute with an explicit kernel event scheduler (the
-// wheel-vs-heap differential; empty means the wheel default).
-func ExecuteSched(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, sched rt.SchedKind, maxEvents int64) Fingerprint {
-	return execute(s, proto, engine, "", maxEvents, "", sched, false)
-}
-
-// EngineConfig pins the parallel engine's execution knobs for a
-// differential run: worker count, lookahead derivation, and the
-// work-stealing ablation. The zero value is the engine's default.
-type EngineConfig struct {
-	Workers   int
-	Lookahead rt.LookaheadKind
-	NoSteal   bool
-}
-
-// ExecuteEngine runs the spec on the parallel engine with explicit
-// engine knobs and fingerprints the outcome. The requested worker count
-// is clamped to the spec's lane count (a clustered interconnect coarsens
-// lanes to node groups), so band tests can sweep fixed worker counts
-// across arbitrary derived shapes.
-func ExecuteEngine(s Spec, proto rt.ProtocolKind, ec EngineConfig, maxEvents int64) Fingerprint {
-	fp, _ := runEngine(s, proto, rt.EngineParallel, "", maxEvents, &ec)
-	return fp
-}
-
-// RunConfig pins every execution knob for one configured run — the
-// serving layer's single-combination job shape (internal/serve), where a
-// spec names its protocol, engine, scheduler and storage backend
-// explicitly instead of running the differential matrix. Zero values
-// mean the runtime defaults (rt.Config.withDefaults).
-type RunConfig struct {
-	Protocol  rt.ProtocolKind
-	Engine    rt.EngineKind
-	Sched     rt.SchedKind
-	Storage   blockstate.Kind
-	Lookahead rt.LookaheadKind
-	NoSteal   bool
-	Workers   int
-	MaxEvents int64
-	Aggregate bool
-}
-
-// ExecuteRun runs the spec once under an explicit run configuration and
-// fingerprints the outcome. Worker counts are clamped to the spec's lane
-// count like every other entry point.
-func ExecuteRun(s Spec, rc RunConfig) Fingerprint {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  rc.Protocol,
-		Engine:    rc.Engine,
-		Sched:     rc.Sched,
-		Storage:   rc.Storage,
-		Lookahead: rc.Lookahead,
-		NoSteal:   rc.NoSteal,
-		Workers:   rc.Workers,
-		MaxEvents: rc.MaxEvents,
-	}
-	fp, _ := runConfigured(s, cfg)
+// Execute runs the spec once under one run configuration and fingerprints
+// the outcome. The spec supplies the machine shape — Nodes, BlockSize and
+// the jittered interconnect overwrite those fields of cfg — and cfg
+// supplies everything else: protocol, engine, the reference oracles, an
+// injected defect (ChaosMutation; empty for honest runs) and the
+// MaxEvents livelock guard (a mutated protocol may spin). An explicit
+// worker count is clamped to the spec's lane count (a clustered
+// interconnect coarsens lanes to node groups), so band tests can sweep
+// fixed worker counts across arbitrary derived shapes.
+func Execute(s Spec, cfg rt.Config) Fingerprint {
+	fp, _ := runMachine(s, cfg)
 	return fp
 }
 
@@ -167,8 +98,9 @@ func ExecuteRun(s Spec, rc RunConfig) Fingerprint {
 // may not perturb the simulation — plus the assembled profile, already
 // checked against the attribution invariant (per-node bucket sums equal
 // total simulated time; serial critical-path length equals elapsed).
-func ExecuteProfiled(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, maxEvents int64) (Fingerprint, *causal.Profile, error) {
-	fp, m := run(s, proto, engine, "", maxEvents, "", "", true, false)
+func ExecuteProfiled(s Spec, cfg rt.Config) (Fingerprint, *causal.Profile, error) {
+	cfg.Profile = true
+	fp, m := runMachine(s, cfg)
 	if m == nil {
 		return fp, nil, fmt.Errorf("chaos: profiled run failed: %s", fp.Err)
 	}
@@ -185,89 +117,27 @@ func ExecuteProfiled(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, maxEve
 // ExecuteCalibration runs the spec once with both the causal profiler
 // and the communication recorder enabled and returns the machine, ready
 // to hand to predict.Calibrate. The fingerprint is discarded — callers
-// wanting differential checks should run ExecuteRun separately; a
+// wanting differential checks should run Execute separately; a
 // calibration run is observation-identical to the plain run anyway.
-func ExecuteCalibration(s Spec, rc RunConfig) (*rt.Machine, error) {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  rc.Protocol,
-		Engine:    rc.Engine,
-		Sched:     rc.Sched,
-		Storage:   rc.Storage,
-		Lookahead: rc.Lookahead,
-		NoSteal:   rc.NoSteal,
-		Workers:   rc.Workers,
-		MaxEvents: rc.MaxEvents,
-		Aggregate: rc.Aggregate,
-		Profile:   true,
-		Record:    true,
-	}
-	fp, m := runConfigured(s, cfg)
+func ExecuteCalibration(s Spec, cfg rt.Config) (*rt.Machine, error) {
+	cfg.Profile, cfg.Record = true, true
+	fp, m := runMachine(s, cfg)
 	if m == nil {
 		return nil, fmt.Errorf("chaos: calibration run failed: %s", fp.Err)
 	}
 	return m, nil
 }
 
-func execute(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, agg bool) Fingerprint {
-	fp, _ := run(s, proto, engine, mutation, maxEvents, storage, sched, false, agg)
-	return fp
-}
-
-// run executes the spec and returns the machine alongside the
+// runMachine executes the spec and returns the machine alongside the
 // fingerprint (nil when the run itself errored).
-func run(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, storage blockstate.Kind, sched rt.SchedKind, profile bool, agg bool) (Fingerprint, *rt.Machine) {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  proto,
-		Engine:    engine,
-		MaxEvents: maxEvents, ChaosMutation: mutation,
-		Storage:   storage,
-		Sched:     sched,
-		Profile:   profile,
-		Aggregate: agg,
-	}
-	return runConfigured(s, cfg)
-}
-
-// runEngine is run with explicit parallel-engine knobs.
-func runEngine(s Spec, proto rt.ProtocolKind, engine rt.EngineKind, mutation string, maxEvents int64, ec *EngineConfig) (Fingerprint, *rt.Machine) {
-	cfg := rt.Config{
-		Nodes:     s.Nodes,
-		BlockSize: s.BlockSize,
-		Protocol:  proto,
-		Engine:    engine,
-		MaxEvents: maxEvents, ChaosMutation: mutation,
-	}
-	if ec != nil {
-		cfg.Lookahead = ec.Lookahead
-		cfg.NoSteal = ec.NoSteal
-		cfg.Workers = ec.Workers
-	}
-	return runConfigured(s, cfg)
-}
-
-func runConfigured(s Spec, cfg rt.Config) (Fingerprint, *rt.Machine) {
+func runMachine(s Spec, cfg rt.Config) (Fingerprint, *rt.Machine) {
 	base, err := network.Preset(s.Net)
 	if err != nil {
 		panic(err) // derivation only emits known presets
 	}
 	net := base.WithJitter(s.JitterPct, uint64(s.Seed))
-	cfg.Net = net
-	// Clamp an explicit worker request to the machine's lane count: a
-	// clustered interconnect coarsens lanes to node groups, and the band
-	// tests sweep fixed worker counts over arbitrary derived shapes.
-	if cfg.Engine == rt.EngineParallel && cfg.Workers > 0 {
-		lanes := s.Nodes
-		if net.Clustered() {
-			lanes = s.Nodes / net.GroupSize
-		}
-		if cfg.Workers > lanes {
-			cfg.Workers = lanes
-		}
-	}
+	cfg.Nodes, cfg.BlockSize, cfg.Net = s.Nodes, s.BlockSize, net
+	cfg.Workers = min(cfg.Workers, cfg.Lanes())
 	m := rt.New(cfg)
 	wl := buildWorkload(m, s)
 	var fp Fingerprint

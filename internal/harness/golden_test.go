@@ -35,8 +35,6 @@ func TestFigureCSVGolden(t *testing.T) {
 				{Scale: Quick, Sched: rt.SchedHeap},
 				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4},
 				{Scale: Quick, Sched: rt.SchedHeap, Engine: rt.EngineParallel, Workers: 4},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4, Lookahead: rt.LookaheadGlobal},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4, NoSteal: true},
 			} {
 				res, err := RunExperiment(e, o)
 				if err != nil {

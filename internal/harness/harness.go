@@ -48,12 +48,8 @@ type Options struct {
 	Engine rt.EngineKind
 	// Workers caps parallel-engine workers (0 = auto).
 	Workers int
-	// Lookahead selects the parallel engine's window derivation
-	// (default rt.LookaheadPair); results are byte-identical across kinds.
-	Lookahead rt.LookaheadKind
-	// NoSteal disables the parallel engine's deterministic work stealing.
-	NoSteal bool
-	// Sched selects the kernel's event scheduler (default rt.SchedWheel).
+	// Sched selects the kernel's event scheduler (default rt.SchedWheel);
+	// the golden tests set rt.SchedHeap to run the reference oracle.
 	Sched rt.SchedKind
 	// Net, when non-nil, overrides the default interconnect for
 	// experiments that do not pick their own (the platform-comparison
@@ -88,8 +84,6 @@ func (o Options) withDefaults() Options {
 func (o Options) machine(c rt.Config) rt.Config {
 	c.Engine = o.Engine
 	c.Workers = o.Workers
-	c.Lookahead = o.Lookahead
-	c.NoSteal = o.NoSteal
 	c.Sched = o.Sched
 	c.Profile = o.Profile
 	if o.Aggregate {

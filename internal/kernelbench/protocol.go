@@ -1,11 +1,10 @@
-// Protocol-path benchmarks: the block-state hot paths the dense paged
-// storage layer (internal/blockstate) optimizes. Each dense case is
-// paired with its map-reference twin so BENCH_kernel.json records the
-// speedup the PR claims (directory churn, pre-send walk, deferral scan).
+// Protocol-path benchmarks: the block-state hot paths of the dense paged
+// storage layer (internal/blockstate) — directory churn, pre-send walk,
+// schedule build, deferral scan. The map-reference backend is a test
+// oracle and is not timed.
 package kernelbench
 
 import (
-	"sort"
 	"testing"
 
 	"presto/internal/blockstate"
@@ -17,14 +16,10 @@ import (
 // protocolCases returns the block-state workloads in stable order.
 func protocolCases() []Case {
 	return []Case{
-		{"dir_churn_dense", benchDirChurn(blockstate.Dense), true},
-		{"dir_churn_mapref", benchDirChurn(blockstate.MapRef), false},
+		{"dir_churn_dense", benchDirChurn, true},
 		{"presend_walk_repeat", benchPresendWalkRepeat, true},
-		{"presend_walk_sortmap", benchPresendWalkSortMap, false},
-		{"sched_build512_dense", benchSchedBuild(blockstate.Dense), false},
-		{"sched_build512_mapref", benchSchedBuild(blockstate.MapRef), false},
-		{"stache_deferral_scan_dense", benchDeferralScan(blockstate.Dense), true},
-		{"stache_deferral_scan_mapref", benchDeferralScan(blockstate.MapRef), false},
+		{"sched_build512_dense", benchSchedBuild, false},
+		{"stache_deferral_scan_dense", benchDeferralScan, true},
 	}
 }
 
@@ -46,35 +41,28 @@ func benchAS() (*memory.AddressSpace, *memory.Region) {
 // transient path whose buffers come from the directory slab. One op is
 // one such handler-shaped sequence; the entry lookups are the cost the
 // paged table attacks.
-func benchDirChurn(kind blockstate.Kind) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		as, r := benchAS()
-		var dir *tempest.Directory
-		if kind == blockstate.MapRef {
-			dir = tempest.NewDirectoryRef(as)
+func benchDirChurn(b *testing.B) {
+	b.ReportAllocs()
+	as, r := benchAS()
+	dir := tempest.NewDirectory(as)
+	for i := int64(0); i < benchBlocks; i++ {
+		e := dir.Entry(r.BlockAt(i))
+		e.Sharers.Add(int(i) % benchNodes)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		node := i % benchNodes
+		e := dir.Entry(r.BlockAt(int64(i % benchBlocks)))
+		e.Owner = node
+		e2 := dir.Entry(r.BlockAt(int64((i * 7) % benchBlocks)))
+		if e2.Sharers.Has(node) {
+			e2.Sharers.Remove(node)
 		} else {
-			dir = tempest.NewDirectory(as)
+			e2.Sharers.Add(node)
 		}
-		for i := int64(0); i < benchBlocks; i++ {
-			e := dir.Entry(r.BlockAt(i))
-			e.Sharers.Add(int(i) % benchNodes)
-		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			node := i % benchNodes
-			e := dir.Entry(r.BlockAt(int64(i % benchBlocks)))
-			e.Owner = node
-			e2 := dir.Entry(r.BlockAt(int64((i * 7) % benchBlocks)))
-			if e2.Sharers.Has(node) {
-				e2.Sharers.Remove(node)
-			} else {
-				e2.Sharers.Add(node)
-			}
-			if i%16 == 0 {
-				dir.PushPending(e, tempest.PendReq{Req: node})
-				dir.PopPending(e)
-			}
+		if i%16 == 0 {
+			dir.PushPending(e, tempest.PendReq{Req: node})
+			dir.PopPending(e)
 		}
 	}
 }
@@ -104,56 +92,24 @@ func benchPresendWalkRepeat(b *testing.B) {
 	}
 }
 
-// benchPresendWalkSortMap is the walk this PR replaced: schedule entries
-// in a map, with every walk collecting the keys and sorting them into
-// block order. Kept as the reference cost for BENCH_kernel.json.
-func benchPresendWalkSortMap(b *testing.B) {
-	b.ReportAllocs()
-	_, r := benchAS()
-	m := make(map[memory.Block]*schedule.Entry, benchBlocks)
-	for i := int64(0); i < benchBlocks; i++ {
-		blk := r.BlockAt(i)
-		m[blk] = &schedule.Entry{Block: blk, Mode: schedule.ModeRead}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		keys := make([]memory.Block, 0, len(m))
-		for blk := range m {
-			keys = append(keys, blk)
-		}
-		sort.Slice(keys, func(a, c int) bool { return keys[a] < keys[c] })
-		live := 0
-		for _, blk := range keys {
-			if m[blk].Mode != schedule.ModeConflict {
-				live++
-			}
-		}
-		if live != benchBlocks {
-			b.Fatal(live)
-		}
-	}
-}
-
 // benchSchedBuild measures building one 512-block phase schedule from
 // scratch — the first-iteration fault storm — plus one Entries() walk.
 // One op is one full build.
-func benchSchedBuild(kind blockstate.Kind) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		as, r := benchAS()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p := schedule.NewPhase(as, 1, kind)
-			for j := int64(0); j < benchBlocks; j++ {
-				if j%3 == 0 {
-					p.RecordWrite(r.BlockAt(j), int(j)%benchNodes)
-				} else {
-					p.RecordRead(r.BlockAt(j), int(j)%benchNodes)
-				}
+func benchSchedBuild(b *testing.B) {
+	b.ReportAllocs()
+	as, r := benchAS()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		p := schedule.NewPhase(as, 1, blockstate.Dense)
+		for j := int64(0); j < benchBlocks; j++ {
+			if j%3 == 0 {
+				p.RecordWrite(r.BlockAt(j), int(j)%benchNodes)
+			} else {
+				p.RecordRead(r.BlockAt(j), int(j)%benchNodes)
 			}
-			if len(p.Entries()) != benchBlocks {
-				b.Fatal("short schedule")
-			}
+		}
+		if len(p.Entries()) != benchBlocks {
+			b.Fatal("short schedule")
 		}
 	}
 }
@@ -162,27 +118,25 @@ func benchSchedBuild(kind blockstate.Kind) func(b *testing.B) {
 // (32 of 512) carries a packed flags byte; each op scans the active set
 // in block order and churns one record (set + clear on an existing
 // page). One op is one scan.
-func benchDeferralScan(kind blockstate.Kind) func(b *testing.B) {
-	return func(b *testing.B) {
-		b.ReportAllocs()
-		as, r := benchAS()
-		st := blockstate.New[uint8](as, kind)
-		for i := int64(0); i < benchBlocks; i += 16 {
-			v, _ := st.Ensure(r.BlockAt(i))
-			*v = uint8(1 + i%3)
-		}
-		sum := 0
-		visit := func(_ memory.Block, v *uint8) { sum += int(*v) }
-		churn := r.BlockAt(1)
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			st.ForEach(visit)
-			v, _ := st.Ensure(churn)
-			*v = uint8(i)
-			st.Remove(churn)
-		}
-		if sum == 0 {
-			b.Fatal("empty scan")
-		}
+func benchDeferralScan(b *testing.B) {
+	b.ReportAllocs()
+	as, r := benchAS()
+	st := blockstate.New[uint8](as, blockstate.Dense)
+	for i := int64(0); i < benchBlocks; i += 16 {
+		v, _ := st.Ensure(r.BlockAt(i))
+		*v = uint8(1 + i%3)
+	}
+	sum := 0
+	visit := func(_ memory.Block, v *uint8) { sum += int(*v) }
+	churn := r.BlockAt(1)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		st.ForEach(visit)
+		v, _ := st.Ensure(churn)
+		*v = uint8(i)
+		st.Remove(churn)
+	}
+	if sum == 0 {
+		b.Fatal("empty scan")
 	}
 }

@@ -35,7 +35,7 @@ func ChaosBandShifts(seeds int, shifts []int) (*ErrorTable, error) {
 		if seed%2 == 1 {
 			proto = rt.ProtoPredictive
 		}
-		rc := chaos.RunConfig{Protocol: proto, Engine: rt.EngineSerial}
+		rc := rt.Config{Protocol: proto}
 
 		m, err := chaos.ExecuteCalibration(s, rc)
 		if err != nil {
@@ -53,7 +53,7 @@ func ChaosBandShifts(seeds int, shifts []int) (*ErrorTable, error) {
 			}
 			sim := s
 			sim.BlockSize = bs
-			fp := chaos.ExecuteRun(sim, rc)
+			fp := chaos.Execute(sim, rc)
 			if fp.Err != "" {
 				return nil, fmt.Errorf("seed %d bs %d: simulation failed: %s", seed, bs, fp.Err)
 			}

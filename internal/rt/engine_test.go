@@ -54,7 +54,7 @@ func runNeighbor(t *testing.T, cfg rt.Config) (sim.Time, []byte) {
 // TestClusterEngineIdentity: on a clustered interconnect the pair-matrix
 // lookahead coarsens lanes to groups and widens windows to the top-level
 // transit — and the result must still be byte-identical to the serial
-// engine and to the global-lookahead reference, for every worker count.
+// engine, for every worker count.
 func TestClusterEngineIdentity(t *testing.T) {
 	net, err := network.Preset("cluster:4x2")
 	if err != nil {
@@ -64,21 +64,11 @@ func TestClusterEngineIdentity(t *testing.T) {
 	elapsed, report := runNeighbor(t, base)
 	for _, tc := range []struct {
 		name string
-		la   rt.LookaheadKind
 		w    int
-		ns   bool
-	}{
-		{"pair-w1", rt.LookaheadPair, 1, false},
-		{"pair-w4", rt.LookaheadPair, 4, false},
-		{"pair-w4-nosteal", rt.LookaheadPair, 4, true},
-		{"global-w4", rt.LookaheadGlobal, 4, false},
-		{"auto", rt.LookaheadPair, 0, false},
-	} {
+	}{{"w1", 1}, {"w4", 4}, {"auto", 0}} {
 		c := base
 		c.Engine = rt.EngineParallel
-		c.Lookahead = tc.la
 		c.Workers = tc.w
-		c.NoSteal = tc.ns
 		e, rep := runNeighbor(t, c)
 		if e != elapsed {
 			t.Fatalf("%s: elapsed %v, serial %v", tc.name, e, elapsed)
@@ -120,6 +110,44 @@ func TestWorkersValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidate: every value that reaches rt.Config from a flag or
+// a service spec fails with an error from Validate instead of a panic in
+// New, and a template (Nodes unset) defers the shape checks to Run.
+func TestConfigValidate(t *testing.T) {
+	net, err := network.Preset("cluster:4x2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  rt.Config
+		want string // substring of the error; "" = valid
+	}{
+		{"zero value", rt.Config{}, ""},
+		{"protocol", rt.Config{Protocol: "foo"}, "unknown protocol"},
+		{"engine", rt.Config{Engine: "warp"}, "unknown engine"},
+		{"sched", rt.Config{Sched: "fifo"}, "unknown scheduler"},
+		{"storage", rt.Config{Storage: "btree"}, "unknown storage"},
+		{"block not pow2", rt.Config{BlockSize: 48}, "block size 48"},
+		{"block too small", rt.Config{BlockSize: 8}, "block size 8"},
+		{"nodes high", rt.Config{Nodes: 5000}, "node count 5000"},
+		{"nodes negative", rt.Config{Nodes: -1}, "node count -1"},
+		{"workers negative", rt.Config{Workers: -1}, "negative worker count"},
+		{"mutation", rt.Config{ChaosMutation: "nope"}, "unknown chaos mutation"},
+		{"topology mismatch", rt.Config{Nodes: 6, Net: net}, "machine has 6"},
+		{"template skips shape", rt.Config{Net: net, Engine: rt.EngineParallel, Workers: 8}, ""},
+		{"sized workers", rt.Config{Nodes: 8, Net: net, Engine: rt.EngineParallel, Workers: 8}, "4 lanes"},
+	} {
+		err := tc.cfg.Validate()
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("%s: unexpected error %v", tc.name, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("%s: error %v, want substring %q", tc.name, err, tc.want)
+		}
+	}
+}
+
 // TestClusterTopologyValidation: the machine's node count must tile the
 // clustered interconnect exactly, under either engine.
 func TestClusterTopologyValidation(t *testing.T) {
@@ -151,7 +179,7 @@ func TestExecInfo(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := m.ExecInfo()
-	if e.Engine != "parallel" || e.Workers != 2 || e.Lanes != 4 || e.Lookahead != "pair" {
+	if e.Engine != "parallel" || e.Workers != 2 || e.Lanes != 4 {
 		t.Fatalf("exec info %+v", e)
 	}
 	if e.GOMAXPROCS <= 0 || e.NumCPU <= 0 {

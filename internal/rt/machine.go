@@ -54,26 +54,6 @@ const (
 	EngineParallel EngineKind = "parallel"
 )
 
-// LookaheadKind selects how the parallel engine derives its conservative
-// windows from the interconnect.
-type LookaheadKind string
-
-const (
-	// LookaheadPair (default) derives a per-lane-pair lookahead matrix
-	// from the interconnect topology: a lane pair's bound is the minimum
-	// cost of any message between their node groups. On a clustered
-	// interconnect lanes are whole groups and every lane pair crosses
-	// groups, so windows are bounded by the (large) top-level transit
-	// instead of the (small) intra-group minimum. On flat interconnects
-	// every pair collapses to the global minimum latency, making this
-	// byte-identical to LookaheadGlobal.
-	LookaheadPair LookaheadKind = "pair"
-	// LookaheadGlobal is the legacy scalar bound — the interconnect's
-	// global minimum latency — kept as a differential reference for the
-	// pair matrix.
-	LookaheadGlobal LookaheadKind = "global"
-)
-
 // SchedKind selects the kernel's pending-event scheduler.
 type SchedKind string
 
@@ -82,12 +62,15 @@ const (
 	// is the interconnect's minimum cross-node latency, aligning one
 	// conservative lookahead window with O(1) buckets.
 	SchedWheel SchedKind = "wheel"
-	// SchedHeap is the binary-heap reference scheduler, kept for
-	// differential testing — output is byte-identical to SchedWheel.
+	// SchedHeap is the binary-heap reference scheduler, a test oracle —
+	// output is byte-identical to SchedWheel.
 	SchedHeap SchedKind = "heap"
 )
 
-// Config describes one machine configuration.
+// Config describes one machine configuration. It is the run spec: the
+// CLIs, the harness, the chaos oracle and the service all describe a run
+// by filling one of these. Sched and Storage select reference oracles
+// and are set by Go tests only — no flag or service field reaches them.
 type Config struct {
 	// Nodes is the processor count (the paper used 32).
 	Nodes int
@@ -125,22 +108,12 @@ type Config struct {
 	Engine EngineKind
 	// Workers caps the worker goroutines of the parallel engine. 0 means
 	// auto: GOMAXPROCS clamped to the machine's lane count. Negative
-	// values and values beyond the lane count are configuration errors
-	// (Run reports them). Ignored for EngineSerial.
+	// values and, under EngineParallel, values beyond the lane count are
+	// configuration errors (Validate reports them).
 	Workers int
-	// Lookahead selects how the parallel engine bounds its conservative
-	// windows (default LookaheadPair). Results are byte-identical across
-	// kinds; the pair matrix only widens windows. Ignored for
-	// EngineSerial.
-	Lookahead LookaheadKind
-	// NoSteal disables deterministic work stealing between the parallel
-	// engine's workers (each worker then executes only the lanes it
-	// owns). Results are byte-identical either way; this is a
-	// performance ablation knob.
-	NoSteal bool
 	// Sched selects the kernel's pending-event scheduler (default
-	// SchedWheel). SchedHeap keeps the reference heap for differential
-	// testing; results are byte-identical either way.
+	// SchedWheel). SchedHeap is the reference heap the differential tests
+	// compare against; results are byte-identical either way.
 	Sched SchedKind
 	// ChaosMutation names a deliberate protocol defect to inject
 	// (mutation testing for internal/chaos — the differential oracle must
@@ -157,11 +130,6 @@ type Config struct {
 	// critical path and attribution report after the run. Simulated
 	// results (fingerprints, metrics, goldens) are identical either way.
 	Profile bool
-	// ProfileCap overrides the flight recorder's edge capacity
-	// (default sim.DefaultRecorderCap). The recorder is a ring: a run
-	// emitting more binding wakes than the cap still profiles, but the
-	// critical-path walk is marked truncated.
-	ProfileCap int
 	// Record attaches a communication recorder to every node, capturing
 	// per-phase fault/pre-send/traffic schedules for the analytical
 	// predictor (internal/predict). Observation only: simulated results
@@ -212,6 +180,96 @@ func (c *Config) withDefaults() Config {
 		out.Sched = SchedWheel
 	}
 	return out
+}
+
+// Validate reports a configuration the machine cannot run: an unknown
+// protocol, engine, scheduler, storage backend or mutation, a block size
+// or node count out of range, bad interconnect parameters, or a worker
+// count the engine cannot honor. The CLIs and the service call it on
+// outside input so a bad value is one error line, not a panic in New;
+// Run calls it before anything is spawned, because a configuration error
+// past that point would strand the compute processors' goroutines.
+//
+// A zero Nodes marks a template whose machine size is picked later (a
+// harness experiment sizes each row): the checks that relate the node
+// count to the interconnect and the worker count then wait for Run.
+func (c Config) Validate() error {
+	sized := c.Nodes != 0
+	c = c.withDefaults()
+	if _, err := ParseProtocol(string(c.Protocol)); err != nil {
+		return err
+	}
+	if _, err := ParseEngine(string(c.Engine)); err != nil {
+		return err
+	}
+	if c.Sched != SchedWheel && c.Sched != SchedHeap {
+		return fmt.Errorf("rt: unknown scheduler %q", c.Sched)
+	}
+	if c.Storage != "" && c.Storage != blockstate.Dense && c.Storage != blockstate.MapRef {
+		return fmt.Errorf("rt: unknown storage backend %q", c.Storage)
+	}
+	if c.BlockSize < 16 || c.BlockSize&(c.BlockSize-1) != 0 {
+		return fmt.Errorf("rt: block size %d must be a power of two >= 16", c.BlockSize)
+	}
+	if c.Nodes < 1 || c.Nodes > network.MaxNodes {
+		return fmt.Errorf("rt: node count %d out of range [1,%d]", c.Nodes, network.MaxNodes)
+	}
+	if c.Workers < 0 {
+		return fmt.Errorf("rt: negative worker count %d (0 means auto)", c.Workers)
+	}
+	if err := c.Net.Validate(); err != nil {
+		return fmt.Errorf("rt: bad interconnect parameters: %w", err)
+	}
+	switch c.ChaosMutation {
+	case "", MutationStacheSkipDeferral:
+	case MutationStealReverseRun:
+		if c.Engine != EngineParallel {
+			return fmt.Errorf("rt: mutation %q targets the parallel engine, machine runs %q", c.ChaosMutation, c.Engine)
+		}
+	case MutationAggDropEntry:
+		if !c.Aggregate || !c.Net.Clustered() {
+			return fmt.Errorf("rt: mutation %q targets node-leader aggregation (needs Aggregate on a clustered interconnect)", c.ChaosMutation)
+		}
+	default:
+		return fmt.Errorf("rt: unknown chaos mutation %q", c.ChaosMutation)
+	}
+	if !sized {
+		return nil
+	}
+	gsize := c.laneSize()
+	if c.Nodes%gsize != 0 {
+		return fmt.Errorf("rt: %d nodes do not tile into groups of %d", c.Nodes, gsize)
+	}
+	if want := c.Net.ExpectNodes(); want != 0 && c.Nodes != want {
+		return fmt.Errorf("rt: interconnect describes %d nodes, machine has %d", want, c.Nodes)
+	}
+	// Workers execute lanes, so a surplus could never run.
+	if lanes := c.Lanes(); c.Engine == EngineParallel && c.Workers > lanes {
+		return fmt.Errorf("rt: %d workers exceed the machine's %d lanes (workers execute lanes; use 0 for auto)", c.Workers, lanes)
+	}
+	return nil
+}
+
+// laneSize is the number of nodes that share one parallel-engine lane,
+// the unit of concurrent execution. On a flat interconnect each node is a
+// lane: a node's compute and protocol processors share state (Store, Dir,
+// Stats, metrics), so they must execute on the same lane. On a clustered
+// interconnect the lane is a whole node group — coarsening to the
+// interconnect partition makes every lane pair cross-group, so the pair
+// lookahead matrix bounds windows by the (large) top-level transit
+// instead of the intra-group minimum.
+func (c *Config) laneSize() int {
+	if c.Net.Clustered() {
+		return c.Net.GroupSize
+	}
+	return 1
+}
+
+// Lanes is the parallel engine's lane count for this configuration — the
+// most workers it can use.
+func (c Config) Lanes() int {
+	c = c.withDefaults()
+	return c.Nodes / c.laneSize()
 }
 
 // Machine is one simulated DSM machine instance. Allocate aggregates
@@ -291,69 +349,24 @@ func (m *Machine) Run(prog Program) error {
 	}
 	m.ran = true
 	c := m.Cfg
-	if err := c.Net.Validate(); err != nil {
-		return fmt.Errorf("rt: bad interconnect parameters: %w", err)
+	if err := c.Validate(); err != nil {
+		return err
 	}
-	switch c.ChaosMutation {
-	case "", MutationStacheSkipDeferral:
-	case MutationStealReverseRun:
-		if c.Engine != EngineParallel {
-			return fmt.Errorf("rt: mutation %q targets the parallel engine, machine runs %q", c.ChaosMutation, c.Engine)
+	gsize := c.laneSize()
+	if c.Engine == EngineParallel {
+		m.lanes = c.Lanes()
+		m.workers = c.Workers
+		if m.workers == 0 {
+			m.workers = min(runtime.GOMAXPROCS(0), m.lanes)
 		}
-	case MutationAggDropEntry:
-		if !c.Aggregate || !c.Net.Clustered() {
-			return fmt.Errorf("rt: mutation %q targets node-leader aggregation (needs Aggregate on a clustered interconnect)", c.ChaosMutation)
-		}
-	default:
-		return fmt.Errorf("rt: unknown chaos mutation %q", c.ChaosMutation)
 	}
-	switch c.Lookahead {
-	case "", LookaheadPair, LookaheadGlobal:
-	default:
-		return fmt.Errorf("rt: unknown lookahead kind %q (want pair or global)", c.Lookahead)
-	}
-	if c.Net.Clustered() && c.Nodes%c.Net.GroupSize != 0 {
-		return fmt.Errorf("rt: %d nodes do not tile into groups of %d", c.Nodes, c.Net.GroupSize)
-	}
-	if want := c.Net.ExpectNodes(); want != 0 && c.Nodes != want {
-		return fmt.Errorf("rt: interconnect describes %d nodes, machine has %d", want, c.Nodes)
-	}
-	// Resolve the engine before anything is spawned: a configuration error
-	// past that point would strand the compute processors' goroutines.
-	//
-	// A lane is the unit of concurrent execution. On a flat interconnect
-	// each node is a lane: a node's compute and protocol processors share
-	// state (Store, Dir, Stats, metrics), so they must execute on the same
-	// lane. On a clustered interconnect the lane is a whole node group —
-	// coarsening to the interconnect partition makes every lane pair
-	// cross-group, so the pair lookahead matrix bounds windows by the
-	// (large) top-level transit instead of the intra-group minimum.
-	gsize := 1
-	switch c.Engine {
-	case EngineSerial:
-	case EngineParallel:
-		if c.Net.Clustered() {
-			gsize = c.Net.GroupSize
-		}
-		m.lanes = c.Nodes / gsize
-		workers, err := effectiveWorkers(c.Workers, m.lanes)
-		if err != nil {
-			return err
-		}
-		m.workers = workers
-	default:
-		return fmt.Errorf("rt: unknown engine %q", c.Engine)
-	}
-	switch c.Sched {
-	case SchedWheel:
+	if c.Sched == SchedHeap {
+		m.Kernel.UseScheduler(sim.SchedHeap, 0)
+	} else {
 		// Size the wheel to the machine: two processors per node can keep
 		// roughly that many events in flight, so a 1024-node burst stays
 		// on the O(1) bucket path instead of thrashing the overflow heap.
 		m.Kernel.UseSchedulerSized(sim.SchedWheel, c.Net.MinLatency(), 2*c.Nodes)
-	case SchedHeap:
-		m.Kernel.UseScheduler(sim.SchedHeap, 0)
-	default:
-		return fmt.Errorf("rt: unknown scheduler %q", c.Sched)
 	}
 	m.Kernel.MaxEvents = c.MaxEvents
 	var ring *trace.Ring
@@ -386,7 +399,7 @@ func (m *Machine) Run(prog Program) error {
 		}
 	}
 	if c.Profile {
-		m.Kernel.EnableRecorder(c.ProfileCap)
+		m.Kernel.EnableRecorder(sim.DefaultRecorderCap)
 		m.prof = make([]*nodeProf, c.Nodes)
 		for i := range m.prof {
 			m.prof[i] = &nodeProf{}
@@ -430,17 +443,14 @@ func (m *Machine) Run(prog Program) error {
 		Workers:           m.workers,
 		Lanes:             m.lanes,
 		LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
-		NoSteal:           c.NoSteal,
 		MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
 	}
-	switch {
-	case m.lanes == 1:
+	if m.lanes == 1 {
 		// One lane has no cross-lane hazards; any positive window is
 		// conservative. The barrier cost is a comfortably wide one.
 		pcfg.Lookahead = c.Net.BarrierLatency
-	case c.Lookahead == LookaheadGlobal:
-		pcfg.Lookahead = c.Net.MinLatency()
-	default:
+		m.lookahead = pcfg.Lookahead
+	} else {
 		pcfg.PairLookahead = func(i, j int) sim.Time {
 			return c.Net.PairMinLatency(i*gsize, j*gsize)
 		}
@@ -453,30 +463,7 @@ func (m *Machine) Run(prog Program) error {
 			m.lookahead = c.Net.MinLatency()
 		}
 	}
-	if pcfg.Lookahead > 0 {
-		m.lookahead = pcfg.Lookahead
-	}
 	return m.Kernel.RunParallel(pcfg)
-}
-
-// effectiveWorkers resolves the requested parallel-engine worker count
-// against the machine's lane count. 0 means auto (GOMAXPROCS clamped to
-// the lane count); negative requests and requests beyond the lane count
-// are configuration errors — workers execute lanes, so the surplus could
-// never run.
-func effectiveWorkers(req, lanes int) (int, error) {
-	switch {
-	case req < 0:
-		return 0, fmt.Errorf("rt: negative worker count %d (0 means auto)", req)
-	case req > lanes:
-		return 0, fmt.Errorf("rt: %d workers exceed the machine's %d lanes (workers execute lanes; use 0 for auto)", req, lanes)
-	case req == 0:
-		req = runtime.GOMAXPROCS(0)
-		if req > lanes {
-			req = lanes
-		}
-	}
-	return req, nil
 }
 
 // Elapsed returns the machine's execution time: the latest compute
@@ -700,7 +687,6 @@ type ExecInfo struct {
 	Engine     string `json:"engine"`
 	Workers    int    `json:"workers,omitempty"`
 	Lanes      int    `json:"lanes,omitempty"`
-	Lookahead  string `json:"lookahead,omitempty"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	NumCPU     int    `json:"num_cpu"`
 }
@@ -716,12 +702,6 @@ func (m *Machine) ExecInfo() *ExecInfo {
 	}
 	if e.Engine == "" {
 		e.Engine = string(EngineSerial)
-	}
-	if m.Cfg.Engine == EngineParallel {
-		e.Lookahead = string(m.Cfg.Lookahead)
-		if e.Lookahead == "" {
-			e.Lookahead = string(LookaheadPair)
-		}
 	}
 	return e
 }

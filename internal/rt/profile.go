@@ -103,14 +103,9 @@ func (m *Machine) Profile(app string) (*causal.Profile, error) {
 		for len(hist) > 0 && hist[len(hist)-1] == 0 {
 			hist = hist[:len(hist)-1]
 		}
-		kind := string(m.Cfg.Lookahead)
-		if kind == "" {
-			kind = string(LookaheadPair)
-		}
 		p.Flight = &causal.EngineProfile{
 			Workers:       m.workers,
 			Lanes:         m.lanes,
-			Lookahead:     kind,
 			LookaheadNS:   int64(m.lookahead),
 			Windows:       f.Windows,
 			Events:        f.Events,

@@ -4,10 +4,8 @@ import (
 	"context"
 	"fmt"
 
-	"presto/internal/blockstate"
 	"presto/internal/chaos"
 	"presto/internal/harness"
-	"presto/internal/network"
 	"presto/internal/rt"
 )
 
@@ -37,11 +35,10 @@ func Run(ctx context.Context, spec Spec) *Result {
 // engine.
 var refCombo = string(rt.ProtoStache) + "/" + string(rt.EngineSerial)
 
-// runChaosDiff runs the full differential oracle on one seed — the
-// protofuzz server path. Oracle violations are payload (the client
-// decides what a failing seed means), not job errors.
-func runChaosDiff(spec Spec) *Result {
-	o := chaos.Options{
+// chaosOptions maps a chaos spec onto the campaign options that derive
+// its workload (scale, caps, jitter policy) and bound its runs.
+func (spec Spec) chaosOptions() chaos.Options {
+	return chaos.Options{
 		Seeds:     1,
 		Start:     spec.Seed,
 		Scale:     chaos.Scale(spec.Scale),
@@ -50,7 +47,13 @@ func runChaosDiff(spec Spec) *Result {
 		MaxEvents: spec.MaxEvents,
 		NoShrink:  true,
 	}
-	r := chaos.RunSeed(spec.Seed, o)
+}
+
+// runChaosDiff runs the full differential oracle on one seed — the
+// protofuzz server path. Oracle violations are payload (the client
+// decides what a failing seed means), not job errors.
+func runChaosDiff(spec Spec) *Result {
+	r := chaos.RunSeed(spec.Seed, spec.chaosOptions())
 	res := &Result{Chaos: &ChaosResult{Diff: &r}}
 	if fp, ok := r.Runs[refCombo]; ok && fp.Err == "" {
 		res.ElapsedNS = fp.ElapsedNS
@@ -59,35 +62,22 @@ func runChaosDiff(spec Spec) *Result {
 	return res
 }
 
-// runChaosSingle executes one configured {protocol, engine, sched,
-// storage} combination of a derived chaos workload, with the spec's
-// block-size and interconnect overrides applied to the derivation.
+// runChaosSingle executes one configured {protocol, engine} combination
+// of a derived chaos workload, with the spec's block-size and
+// interconnect overrides applied to the derivation.
 func runChaosSingle(spec Spec) *Result {
-	cs := chaos.DeriveCapped(spec.Seed, chaos.Scale(spec.Scale), spec.Caps())
-	// Jitter policy mirrors chaos.Options.derive: >0 forces the
-	// percentage, <0 forces it off, 0 keeps the derived value.
-	switch {
-	case spec.JitterPct > 0:
-		cs.JitterPct = spec.JitterPct
-	case spec.JitterPct < 0:
-		cs.JitterPct = 0
+	cfg, err := spec.config()
+	if err != nil {
+		return &Result{Err: err.Error()}
 	}
+	cs := spec.chaosOptions().Derive(spec.Seed)
 	if spec.BlockSize != 0 {
 		cs.BlockSize = spec.BlockSize
 	}
 	if spec.Net != "" {
 		cs.Net = spec.Net
 	}
-	fp := chaos.ExecuteRun(cs, chaos.RunConfig{
-		Protocol:  rt.ProtocolKind(spec.Protocol),
-		Engine:    rt.EngineKind(spec.Engine),
-		Sched:     rt.SchedKind(spec.Sched),
-		Storage:   blockstate.Kind(spec.Storage),
-		Lookahead: rt.LookaheadKind(spec.Lookahead),
-		NoSteal:   spec.NoSteal,
-		Workers:   spec.Workers,
-		MaxEvents: spec.MaxEvents,
-	})
+	fp := chaos.Execute(cs, cfg)
 	res := &Result{Chaos: &ChaosResult{Fingerprint: &fp}}
 	if fp.Err == "" {
 		res.ElapsedNS = fp.ElapsedNS
@@ -104,22 +94,17 @@ func runExperiment(spec Spec) *Result {
 	if !ok {
 		return &Result{Err: fmt.Sprintf("serve: unknown experiment %q", spec.Experiment)}
 	}
-	o := harness.Options{
-		Scale:     harness.ParseScale(spec.Scale),
-		Engine:    rt.EngineKind(spec.Engine),
-		Workers:   spec.Workers,
-		Lookahead: rt.LookaheadKind(spec.Lookahead),
-		NoSteal:   spec.NoSteal,
-		Sched:     rt.SchedKind(spec.Sched),
-		Profile:   spec.Profile,
-		Predict:   spec.Predict,
+	cfg, err := spec.config()
+	if err != nil {
+		return &Result{Err: err.Error()}
 	}
-	if spec.Net != "" {
-		p, err := network.Preset(spec.Net)
-		if err != nil {
-			return &Result{Err: fmt.Sprintf("serve: %v", err)}
-		}
-		o.Net = p
+	o := harness.Options{
+		Scale:   harness.ParseScale(spec.Scale),
+		Engine:  cfg.Engine,
+		Workers: cfg.Workers,
+		Net:     cfg.Net,
+		Profile: cfg.Profile,
+		Predict: spec.Predict,
 	}
 	csv, hres, err := harness.RunCSV(e, o)
 	if err != nil {

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"io"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"strings"
@@ -177,6 +179,27 @@ func TestBatchRejectsInvalidSpecs(t *testing.T) {
 	err = cl.Batch(context.Background(), BatchRequest{}, func(*Result) error { return nil })
 	if err == nil || !strings.Contains(err.Error(), "empty batch") {
 		t.Fatalf("empty batch: %v", err)
+	}
+}
+
+// TestBatchRejectsRetiredFields: the engine-ablation knobs left the
+// spec, and the strict decoder must refuse a client that still sends one
+// — by name — rather than silently running the default.
+func TestBatchRejectsRetiredFields(t *testing.T) {
+	_, cl := newTestServer(t, Config{Workers: 1})
+	for field, value := range map[string]string{
+		"sched": `"heap"`, "storage": `"mapref"`, "lookahead": `"global"`, "no_steal": "true",
+	} {
+		body := `{"specs":[{"kind":"chaos","seed":1,"protocol":"stache","` + field + `":` + value + `}]}`
+		resp, err := http.Post(cl.Base+"/v1/batch", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(msg), `"`+field+`"`) {
+			t.Errorf("%s: status %d, body %q; want 400 naming the field", field, resp.StatusCode, msg)
+		}
 	}
 }
 

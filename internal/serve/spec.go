@@ -16,7 +16,6 @@ import (
 	"encoding/json"
 	"fmt"
 
-	"presto/internal/blockstate"
 	"presto/internal/chaos"
 	"presto/internal/harness"
 	"presto/internal/network"
@@ -44,11 +43,10 @@ const (
 // Field applicability by kind:
 //
 //   - chaos: Seed, Scale (quick|long), JitterPct, MaxEvents, Max*, and —
-//     only when Protocol is set — Engine/Sched/Storage/Lookahead/
-//     NoSteal/Workers plus the BlockSize and Net overrides applied to
-//     the derived workload.
-//   - experiment: Experiment, Scale (quick|paper), Engine, Sched,
-//     Lookahead, NoSteal, Workers, Net, Profile.
+//     only when Protocol is set — Engine/Workers plus the BlockSize and
+//     Net overrides applied to the derived workload.
+//   - experiment: Experiment, Scale (quick|paper), Engine, Workers, Net,
+//     Profile, Predict.
 type Spec struct {
 	Kind string `json:"kind"`
 
@@ -74,15 +72,11 @@ type Spec struct {
 	Predict bool `json:"predict,omitempty"`
 
 	// Execution knobs shared by both kinds.
-	Scale     string `json:"scale,omitempty"`
-	Protocol  string `json:"protocol,omitempty"`
-	Engine    string `json:"engine,omitempty"`
-	Sched     string `json:"sched,omitempty"`
-	Storage   string `json:"storage,omitempty"`
-	Lookahead string `json:"lookahead,omitempty"`
-	NoSteal   bool   `json:"no_steal,omitempty"`
-	Workers   int    `json:"workers,omitempty"`
-	Net       string `json:"net,omitempty"`
+	Scale    string `json:"scale,omitempty"`
+	Protocol string `json:"protocol,omitempty"`
+	Engine   string `json:"engine,omitempty"`
+	Workers  int    `json:"workers,omitempty"`
+	Net      string `json:"net,omitempty"`
 }
 
 // chaosDiff reports whether the spec runs the full differential matrix
@@ -92,6 +86,32 @@ func (s Spec) chaosDiff() bool { return s.Kind == KindChaos && s.Protocol == "" 
 // Caps returns the spec's derivation caps.
 func (s Spec) Caps() chaos.Caps {
 	return chaos.Caps{Nodes: s.MaxNodes, Phases: s.MaxPhases, Iters: s.MaxIters, Blocks: s.MaxBlocks}
+}
+
+// config maps the spec's execution knobs onto the run configuration and
+// validates it. Nodes stays unset — a chaos job takes it from the derived
+// workload, an experiment sizes each row — so rt.Config.Validate defers
+// the node-count checks to the run.
+func (s Spec) config() (rt.Config, error) {
+	cfg := rt.Config{
+		BlockSize: s.BlockSize,
+		Protocol:  rt.ProtocolKind(s.Protocol),
+		Engine:    rt.EngineKind(s.Engine),
+		Workers:   s.Workers,
+		MaxEvents: s.MaxEvents,
+		Profile:   s.Profile,
+	}
+	if s.Net != "" {
+		p, err := network.Preset(s.Net)
+		if err != nil {
+			return cfg, fmt.Errorf("serve: %v", err)
+		}
+		cfg.Net = p
+	}
+	if err := cfg.Validate(); err != nil {
+		return cfg, fmt.Errorf("serve: %v", err)
+	}
+	return cfg, nil
 }
 
 // Normalize validates the spec and fills defaults, returning the
@@ -131,9 +151,8 @@ func (s Spec) normalizeChaos() (Spec, error) {
 	if s.chaosDiff() {
 		// The differential matrix fixes its own combinations; explicit
 		// execution knobs would silently not apply — reject them.
-		if s.Engine != "" || s.Sched != "" || s.Storage != "" || s.Lookahead != "" ||
-			s.NoSteal || s.Workers != 0 || s.BlockSize != 0 || s.Net != "" {
-			return s, fmt.Errorf("serve: chaos differential spec (no protocol) cannot set engine/sched/storage/lookahead/no_steal/workers/block_size/net")
+		if s.Engine != "" || s.Workers != 0 || s.BlockSize != 0 || s.Net != "" {
+			return s, fmt.Errorf("serve: chaos differential spec (no protocol) cannot set engine/workers/block_size/net")
 		}
 		return s, nil
 	}
@@ -144,18 +163,6 @@ func (s Spec) normalizeChaos() (Spec, error) {
 	if s.Engine, err = parseKind(rt.ParseEngine(s.Engine)); err != nil {
 		return s, err
 	}
-	if s.Sched, err = parseKind(rt.ParseSched(s.Sched)); err != nil {
-		return s, err
-	}
-	if s.Storage, err = parseKind(blockstate.Parse(s.Storage)); err != nil {
-		return s, err
-	}
-	if s.Lookahead, err = parseKind(rt.ParseLookahead(s.Lookahead)); err != nil {
-		return s, err
-	}
-	if s.Workers < 0 {
-		return s, fmt.Errorf("serve: chaos spec: negative workers")
-	}
 	if s.BlockSize != 0 {
 		switch s.BlockSize {
 		case 32, 64, 128, 256, 512, 1024:
@@ -163,10 +170,8 @@ func (s Spec) normalizeChaos() (Spec, error) {
 			return s, fmt.Errorf("serve: chaos spec: block_size %d not a supported power of two (32..1024)", s.BlockSize)
 		}
 	}
-	if err := validNet(s.Net); err != nil {
-		return s, err
-	}
-	return s, nil
+	_, err = s.config()
+	return s, err
 }
 
 func (s Spec) normalizeExperiment() (Spec, error) {
@@ -185,7 +190,7 @@ func (s Spec) normalizeExperiment() (Spec, error) {
 	}
 	if s.Seed != 0 || s.JitterPct != 0 || s.MaxEvents != 0 ||
 		s.MaxNodes != 0 || s.MaxPhases != 0 || s.MaxIters != 0 || s.MaxBlocks != 0 ||
-		s.BlockSize != 0 || s.Protocol != "" || s.Storage != "" {
+		s.BlockSize != 0 || s.Protocol != "" {
 		return s, fmt.Errorf("serve: experiment spec: chaos fields set (experiments pick protocols and block sizes per row)")
 	}
 	switch s.Scale {
@@ -202,43 +207,17 @@ func (s Spec) normalizeExperiment() (Spec, error) {
 	if s.Engine, err = parseKind(rt.ParseEngine(s.Engine)); err != nil {
 		return s, err
 	}
-	if s.Sched, err = parseKind(rt.ParseSched(s.Sched)); err != nil {
-		return s, err
-	}
-	if s.Lookahead, err = parseKind(rt.ParseLookahead(s.Lookahead)); err != nil {
-		return s, err
-	}
-	if s.Workers < 0 {
-		return s, fmt.Errorf("serve: experiment spec: negative workers")
-	}
-	if err := validNet(s.Net); err != nil {
-		return s, err
-	}
-	return s, nil
+	_, err = s.config()
+	return s, err
 }
 
-// parseKind adapts the rt/blockstate Parse helpers to normalized string
+// parseKind adapts the rt Parse helpers to normalized string
 // fields: the parsed (defaulted) kind becomes the canonical value.
 func parseKind[K ~string](k K, err error) (string, error) {
 	if err != nil {
 		return "", fmt.Errorf("serve: %v", err)
 	}
 	return string(k), nil
-}
-
-// validNet accepts an empty override or a valid interconnect preset.
-func validNet(name string) error {
-	if name == "" {
-		return nil
-	}
-	p, err := network.Preset(name)
-	if err != nil {
-		return fmt.Errorf("serve: %v", err)
-	}
-	if err := p.Validate(); err != nil {
-		return fmt.Errorf("serve: %v", err)
-	}
-	return nil
 }
 
 // Canonical returns the spec's canonical JSON encoding: the normalized

@@ -1,6 +1,8 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -34,7 +36,7 @@ func TestNormalizeChaosSingleComboFillsKinds(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n.Engine == "" || n.Sched == "" || n.Storage == "" || n.Lookahead == "" {
+	if n.Engine == "" {
 		t.Fatalf("single-combo defaults not filled: %+v", n)
 	}
 	if n.chaosDiff() {
@@ -129,4 +131,34 @@ func TestExpandSeedRange(t *testing.T) {
 	if _, err := bad.Expand(0); err == nil {
 		t.Fatal("batch with an invalid spec accepted")
 	}
+}
+
+// FuzzSpecNormalize decodes arbitrary JSON the way POST /v1/batch does
+// and normalizes it: Normalize must never panic, must be idempotent, and
+// the content hash must be stable across re-normalization.
+func FuzzSpecNormalize(f *testing.F) {
+	f.Add(`{"kind":"chaos","seed":7}`)
+	f.Add(`{"kind":"chaos","seed":1,"protocol":"predictive","engine":"parallel","workers":3,"block_size":64,"net":"cluster:2x2"}`)
+	f.Add(`{"kind":"chaos","protocol":"stache","workers":-1,"net":"mesh:0x9"}`)
+	f.Add(`{"kind":"experiment","experiment":"figure5","scale":"paper","profile":true}`)
+	f.Add(`{"kind":"experiment","experiment":"sweep","predict":true,"net":"fattree:2"}`)
+	f.Fuzz(func(t *testing.T, data string) {
+		var s Spec
+		dec := json.NewDecoder(strings.NewReader(data))
+		dec.DisallowUnknownFields()
+		if dec.Decode(&s) != nil {
+			return
+		}
+		n, err := s.Normalize()
+		if err != nil {
+			return
+		}
+		n2, err := n.Normalize()
+		if err != nil {
+			t.Fatalf("normalized spec %s rejected on re-normalize: %v", n.Canonical(), err)
+		}
+		if n != n2 || n.Hash() != n2.Hash() || !bytes.Equal(n.Canonical(), n2.Canonical()) {
+			t.Fatalf("normalize not idempotent:\n%s\n%s", n.Canonical(), n2.Canonical())
+		}
+	})
 }

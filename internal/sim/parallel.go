@@ -91,13 +91,6 @@ type ParallelConfig struct {
 	Lanes  int
 	LaneOf func(p *Proc) int
 
-	// NoSteal disables deterministic work stealing in the worker pool:
-	// each worker executes only the lanes it owns (active-lane positions
-	// congruent to its index). Results are byte-identical either way —
-	// stealing only changes which OS thread executes a lane — so this
-	// exists for differential testing and overhead measurement.
-	NoSteal bool
-
 	// MutateReverseRuns is a chaos mutation hook: reverse the initial
 	// event order of every lane except lane 0 in each window, so lanes
 	// execute their window events tail-first. This breaks the engine's
@@ -721,18 +714,16 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 							l.run()
 						}
 					}
-					if !cfg.NoSteal {
-						for off := 1; off < workers; off++ {
-							v := (w + off) % workers
-							if v >= n {
-								continue
-							}
-							for i := v + (n-1-v)/workers*workers; i >= v; i -= workers {
-								l := x.active[i]
-								if atomic.CompareAndSwapUint32(&l.claim, 0, 1) {
-									atomic.AddInt64(&steals, 1)
-									l.run()
-								}
+					for off := 1; off < workers; off++ {
+						v := (w + off) % workers
+						if v >= n {
+							continue
+						}
+						for i := v + (n-1-v)/workers*workers; i >= v; i -= workers {
+							l := x.active[i]
+							if atomic.CompareAndSwapUint32(&l.claim, 0, 1) {
+								atomic.AddInt64(&steals, 1)
+								l.run()
 							}
 						}
 					}
