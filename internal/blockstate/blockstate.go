@@ -26,6 +26,7 @@ package blockstate
 
 import (
 	"math/bits"
+	"slices"
 	"sort"
 
 	"presto/internal/memory"
@@ -68,20 +69,20 @@ func New[T any](as *memory.AddressSpace, kind Kind) Store[T] {
 	return NewPaged[T](as)
 }
 
-// pageBits sizes a page at 256 slots: large enough to amortize the
-// two-level indirection, small enough that sparsely-touched regions
-// (arenas) cost memory proportional to use.
-const pageBits = 8
+// pageBits sizes a page at 64 slots — one occupancy word, and the geometry
+// of memory.Store's line pages: small enough that sparsely-touched regions
+// (arenas, where a node keeps state for a handful of blocks per window)
+// cost memory proportional to use, large enough to amortize the two-level
+// indirection over dense ones.
+const pageBits = 6
 
 const pageSlots = 1 << pageBits
-
-const pageWords = pageSlots / 64
 
 // page holds a fixed window of block indices. occ marks live slots; the
 // slots array is inline so a hot page is one allocation and entries have
 // no per-entry pointer.
 type page[T any] struct {
-	occ   [pageWords]uint64
+	occ   uint64
 	slots [pageSlots]T
 }
 
@@ -116,7 +117,7 @@ func (p *Paged[T]) locate(b memory.Block) (pg *page[T], slot int) {
 // Get returns the value for b, or nil if absent.
 func (p *Paged[T]) Get(b memory.Block) *T {
 	pg, slot := p.locate(b)
-	if pg == nil || pg.occ[slot>>6]&(1<<uint(slot&63)) == 0 {
+	if pg == nil || pg.occ&(1<<uint(slot)) == 0 {
 		return nil
 	}
 	return &pg.slots[slot]
@@ -126,36 +127,39 @@ func (p *Paged[T]) Get(b memory.Block) *T {
 func (p *Paged[T]) Ensure(b memory.Block) (*T, bool) {
 	// Fast path: the page already exists (steady state after warm-up).
 	if pg, slot := p.locate(b); pg != nil {
-		w, m := slot>>6, uint64(1)<<uint(slot&63)
-		if pg.occ[w]&m != 0 {
+		m := uint64(1) << uint(slot)
+		if pg.occ&m != 0 {
 			return &pg.slots[slot], false
 		}
-		pg.occ[w] |= m
+		pg.occ |= m
 		p.n++
 		return &pg.slots[slot], true
 	}
 	return p.ensureSlow(b)
 }
 
-// ensureSlow grows the region and page tables for b's first touch.
+// ensureSlow grows the region and page tables for b's first touch. It is
+// only entered when b's page is nil.
 func (p *Paged[T]) ensureSlow(b memory.Block) (*T, bool) {
 	rid := b.RegionID()
-	for rid >= len(p.pages) {
-		p.pages = append(p.pages, nil)
-	}
+	p.pages = growTo(p.pages, rid)
 	idx := p.as.BlockIndex(b)
 	pi := int(idx >> pageBits)
-	region := p.pages[rid]
-	for pi >= len(region) {
-		region = append(region, nil)
-	}
+	p.pages[rid] = growTo(p.pages[rid], pi)
 	pg := &page[T]{}
-	region[pi] = pg
-	p.pages[rid] = region
+	p.pages[rid][pi] = pg
 	slot := int(idx & (pageSlots - 1))
-	pg.occ[slot>>6] |= uint64(1) << uint(slot&63)
+	pg.occ = uint64(1) << uint(slot)
 	p.n++
 	return &pg.slots[slot], true
+}
+
+// growTo extends s with zero values, in one step, until s[i] exists.
+func growTo[E any](s []E, i int) []E {
+	if i < len(s) {
+		return s
+	}
+	return slices.Grow(s, i+1-len(s))[:i+1]
 }
 
 // Remove drops b's value and zeroes its slot so a later Ensure sees a
@@ -165,11 +169,11 @@ func (p *Paged[T]) Remove(b memory.Block) {
 	if pg == nil {
 		return
 	}
-	w, m := slot>>6, uint64(1)<<uint(slot&63)
-	if pg.occ[w]&m == 0 {
+	m := uint64(1) << uint(slot)
+	if pg.occ&m == 0 {
 		return
 	}
-	pg.occ[w] &^= m
+	pg.occ &^= m
 	var zero T
 	pg.slots[slot] = zero
 	p.n--
@@ -192,13 +196,9 @@ func (p *Paged[T]) ForEach(fn func(b memory.Block, v *T)) {
 				continue
 			}
 			base := int64(pi) << pageBits
-			for w, word := range pg.occ {
-				for word != 0 {
-					bit := bits.TrailingZeros64(word)
-					word &= word - 1
-					slot := w<<6 + bit
-					fn(r.BlockAt(base+int64(slot)), &pg.slots[slot])
-				}
+			for word := pg.occ; word != 0; word &= word - 1 {
+				slot := bits.TrailingZeros64(word)
+				fn(r.BlockAt(base+int64(slot)), &pg.slots[slot])
 			}
 		}
 	}
@@ -266,15 +266,10 @@ func NewBitTable(as *memory.AddressSpace) *BitTable {
 // Set marks b and reports whether it was newly set.
 func (t *BitTable) Set(b memory.Block) bool {
 	rid := b.RegionID()
-	for rid >= len(t.words) {
-		t.words = append(t.words, nil)
-	}
+	t.words = growTo(t.words, rid)
 	idx := t.as.BlockIndex(b)
 	w := int(idx >> 6)
-	region := t.words[rid]
-	for w >= len(region) {
-		region = append(region, 0)
-	}
+	region := growTo(t.words[rid], w)
 	t.words[rid] = region
 	m := uint64(1) << uint(idx&63)
 	if region[w]&m != 0 {

@@ -10,12 +10,16 @@ import (
 func testAS(t *testing.T) *memory.AddressSpace {
 	t.Helper()
 	as := memory.NewAddressSpace(8, 32)
-	as.NewRegion("r0", 1<<16, func(int64) int { return 0 })
-	as.NewRegion("r1", 1000, func(int64) int { return 1 }) // non-power-of-2 size
+	as.NewRegion("r0", 1<<18, func(int64) int { return 0 }) // 8192 blocks: two 4096-block windows
+	as.NewRegion("r1", 1000, func(int64) int { return 1 })  // non-power-of-2 size
 	return as
 }
 
 func kinds() []Kind { return []Kind{Dense, MapRef} }
+
+// pageEdges are the r0 block indices on either side of a 64-slot page
+// boundary and of a 4096-block boundary.
+var pageEdges = []int64{63, 64, 65, 4095, 4096}
 
 func TestStoreBasics(t *testing.T) {
 	as := testAS(t)
@@ -62,6 +66,7 @@ func TestStoreForEachOrder(t *testing.T) {
 	blocks := []memory.Block{
 		r1.BlockAt(5), r0.BlockAt(700), r0.BlockAt(0), r0.BlockAt(255),
 		r0.BlockAt(256), r1.BlockAt(0), r0.BlockAt(63), r0.BlockAt(1),
+		r0.BlockAt(4096), r0.BlockAt(65), r0.BlockAt(4095), r0.BlockAt(64),
 	}
 	want := append([]memory.Block(nil), blocks...)
 	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
@@ -111,20 +116,31 @@ func (r *prng) next() uint64 {
 	return r.s
 }
 
-// TestStoreDifferential drives identical random op sequences through the
-// Paged backend and a plain map, asserting identical observable state.
+// TestStoreDifferential drives identical random op sequences through each
+// backend and a plain map, asserting identical observable state. A quarter
+// of the picks land on pageEdges, so neighbours across a page boundary are
+// created, removed and re-created many times.
 func TestStoreDifferential(t *testing.T) {
+	for _, kind := range kinds() {
+		t.Run(string(kind), func(t *testing.T) { storeDifferential(t, kind) })
+	}
+}
+
+func storeDifferential(t *testing.T, kind Kind) {
 	as := testAS(t)
 	r0, r1 := as.Regions()[0], as.Regions()[1]
 	pick := func(r *prng) memory.Block {
-		if r.next()%4 == 0 {
+		switch r.next() % 4 {
+		case 0:
 			return r1.BlockAt(int64(r.next() % uint64(r1.NumBlocks())))
+		case 1:
+			return r0.BlockAt(pageEdges[r.next()%uint64(len(pageEdges))])
 		}
 		return r0.BlockAt(int64(r.next() % uint64(r0.NumBlocks())))
 	}
 	for seed := uint64(1); seed <= 20; seed++ {
 		r := &prng{s: seed}
-		s := NewPaged[uint64](as)
+		s := New[uint64](as, kind)
 		ref := map[memory.Block]uint64{}
 		for op := 0; op < 2000; op++ {
 			b := pick(r)
@@ -203,6 +219,14 @@ func TestBitTable(t *testing.T) {
 	// Clearing in never-touched territory must be a safe no-op.
 	if bt.Clear(r0.BlockAt(1500)) {
 		t.Fatal("Clear of untouched block reported set")
+	}
+	// A far block grows the table in one step; everything it skipped over
+	// stays clear.
+	if !bt.Set(r0.BlockAt(8191)) || !bt.Has(r0.BlockAt(8191)) || bt.Count() != 1 {
+		t.Fatal("Set of the region's last block")
+	}
+	if bt.Has(r0.BlockAt(8190)) || bt.Has(r0.BlockAt(4096)) || bt.Has(b2) {
+		t.Fatal("growing the table set bits it skipped over")
 	}
 }
 

@@ -98,11 +98,10 @@ func auditEntry(m *rt.Machine, home *tempest.Node, b memory.Block, e *tempest.Di
 		add("%d pending requests at quiescence", e.PendingLen())
 	}
 
+	// Peek, not Line: the audit must not materialize the blocks it reads.
 	tagOf := func(n *tempest.Node) memory.Tag {
-		if l := n.Store.Line(b); l != nil {
-			return l.Tag
-		}
-		return memory.Invalid
+		tag, _ := n.Store.Peek(b)
+		return tag
 	}
 
 	switch e.State {
@@ -114,10 +113,7 @@ func auditEntry(m *rt.Machine, home *tempest.Node, b memory.Block, e *tempest.Di
 		if !e.Sharers.Empty() && homeTag == memory.ReadWrite && valueCheck {
 			add("home writable while %d sharers hold copies", e.Sharers.Count())
 		}
-		var homeData []byte
-		if l := home.Store.Line(b); l != nil {
-			homeData = l.Data
-		}
+		_, homeData := home.Store.Peek(b)
 		for _, n := range m.Nodes {
 			if n.ID == home.ID {
 				continue
@@ -128,7 +124,7 @@ func auditEntry(m *rt.Machine, home *tempest.Node, b memory.Block, e *tempest.Di
 					add("sharer %d has tag %v, want ReadOnly", n.ID, t)
 				}
 				if valueCheck && homeData != nil {
-					if l := n.Store.Line(b); l != nil && !bytes.Equal(l.Data, homeData) {
+					if _, data := n.Store.Peek(b); data != nil && !bytes.Equal(data, homeData) {
 						add("sharer %d data diverges from home copy", n.ID)
 					}
 				}

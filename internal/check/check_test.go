@@ -46,11 +46,25 @@ func runRandom(t *testing.T, proto rt.ProtocolKind, seed int64, bs int) *rt.Mach
 	return m
 }
 
+// linesHeld sums the lines every node's Store has materialized.
+func linesHeld(m *rt.Machine) (n int) {
+	for _, node := range m.Nodes {
+		n += node.Store.Lines()
+	}
+	return n
+}
+
 func TestInvariantsHoldStache(t *testing.T) {
 	for _, bs := range []int{32, 128} {
 		m := runRandom(t, rt.ProtoStache, 11, bs)
+		before := linesHeld(m)
 		if vs := Machine(m); len(vs) > 0 {
 			t.Fatalf("bs=%d:\n%s", bs, Report(vs))
+		}
+		// The audit reads through Store.Peek: it must not change what it
+		// inspects.
+		if after := linesHeld(m); after != before {
+			t.Fatalf("bs=%d: the audit grew the stores from %d to %d lines", bs, before, after)
 		}
 	}
 }

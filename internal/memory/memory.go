@@ -87,8 +87,7 @@ func (r *Region) Addr(off int64) Addr {
 
 // NumBlocks returns the number of cache blocks spanning the region.
 func (r *Region) NumBlocks() int64 {
-	bs := int64(r.as.blockSize)
-	return (r.Size + bs - 1) / bs
+	return (r.Size + int64(r.as.blockSize) - 1) >> r.as.blockShift
 }
 
 // BlockAt returns the block with the given region-local index (the
@@ -107,6 +106,7 @@ type AddressSpace struct {
 	blockMask  Addr
 	nodes      int
 	regions    []*Region
+	zero       []byte // what every never-touched home block reads as
 }
 
 // NewAddressSpace creates an address space for the given node count and
@@ -126,6 +126,7 @@ func NewAddressSpace(nodes, blockSize int) *AddressSpace {
 		blockShift: uint(bits.TrailingZeros(uint(blockSize))),
 		blockMask:  ^Addr(blockSize - 1),
 		nodes:      nodes,
+		zero:       make([]byte, blockSize),
 	}
 }
 
@@ -190,33 +191,50 @@ type Line struct {
 	Data []byte
 }
 
-// chunkBits sizes the second level of the line table: lines are grouped
-// into chunks allocated on first touch, so huge sparsely-touched regions
-// (tree arenas) cost memory proportional to use, not size.
-const chunkBits = 12
+// The line table is a radix over the region-local block index: a region
+// holds one pointer per 4096-block chunk, a chunk 64 page pointers, a page
+// 64 line pointers. Chunks and pages (512 bytes each) appear on first
+// touch, so huge sparsely-touched regions (tree arenas) cost memory
+// proportional to the blocks a node holds, not to the region's size.
+const (
+	pageBits   = 6
+	pageSize   = 1 << pageBits
+	chunkBits  = 12
+	chunkPages = 1 << (chunkBits - pageBits)
+	maxSlab    = 64 // lines per slab once growth levels off
+)
 
-const chunkSize = 1 << chunkBits
+type (
+	page  [pageSize]*Line
+	chunk [chunkPages]*page
+)
 
-// Store is one node's view of the shared address space: a two-level line
+// Store is one node's view of the shared address space: a radix line
 // table per region. Home-owned lines materialize lazily with a ReadWrite
 // tag and zeroed data (their initial state); other nodes' lines
 // materialize when the protocol installs data.
 type Store struct {
 	node int
 	as   *AddressSpace
-	// lines[regionID][chunk][idxInChunk]; nil chunks/entries are
-	// untouched.
-	lines [][][]*Line
+	// lines[regionID][chunk][page][slot]; nil entries are untouched.
+	lines [][]*chunk
+	// slab and data are the unused tails of the current slab: Line structs
+	// and their bytes are carved off the front, and an exhausted slab is
+	// replaced by a fresh one (4 lines, doubling to maxSlab), never
+	// reallocated — so a *Line and its Data stay put for the Store's
+	// lifetime, which the protocols rely on.
+	slab []Line
+	data []byte
+	n    int // lines carved so far
 }
 
 // NewStore builds node's view of all regions allocated so far. Call after
 // all regions are created.
 func NewStore(as *AddressSpace, node int) *Store {
 	s := &Store{node: node, as: as}
-	s.lines = make([][][]*Line, len(as.regions))
+	s.lines = make([][]*chunk, len(as.regions))
 	for _, r := range as.regions {
-		nChunks := (r.NumBlocks() + chunkSize - 1) >> chunkBits
-		s.lines[r.ID] = make([][]*Line, nChunks)
+		s.lines[r.ID] = make([]*chunk, (r.NumBlocks()+(1<<chunkBits)-1)>>chunkBits)
 	}
 	return s
 }
@@ -227,64 +245,123 @@ func (s *Store) Node() int { return s.node }
 // AddressSpace returns the address space this store maps.
 func (s *Store) AddressSpace() *AddressSpace { return s.as }
 
-func (s *Store) lineAt(a Addr) *Line {
+// Lines returns how many lines the node has materialized.
+func (s *Store) Lines() int { return s.n }
+
+// What lineAt does about a block the node has never touched.
+const (
+	missPeek   = iota // nothing: report nil
+	missHome          // materialize it if this node is its home
+	missCreate        // materialize it
+)
+
+// lineAt walks the radix to a's line. The two compares stand where the
+// compiler would put its own bounds checks, so the hit path pays nothing
+// for the better message.
+func (s *Store) lineAt(a Addr, miss int) *Line {
 	rid := a.RegionID()
+	if uint(rid) >= uint(len(s.lines)) {
+		panic(s.outside(rid, 0))
+	}
+	chunks, idx := s.lines[rid], a.Offset()>>s.as.blockShift
+	if uint64(idx>>chunkBits) >= uint64(len(chunks)) {
+		panic(s.outside(rid, idx))
+	}
+	if ch := chunks[idx>>chunkBits]; ch != nil {
+		if pg := ch[idx>>pageBits&(chunkPages-1)]; pg != nil {
+			if l := pg[idx&(pageSize-1)]; l != nil {
+				return l
+			}
+		}
+	}
+	r := s.as.regions[rid]
+	if idx >= r.NumBlocks() {
+		panic(s.outside(rid, idx))
+	}
+	if miss == missPeek {
+		return nil
+	}
+	return s.slowLine(r, chunks, idx, miss == missCreate)
+}
+
+// outside words the panic for an access beyond the mapped regions or past
+// a region's end.
+func (s *Store) outside(rid int, idx int64) string {
 	if rid >= len(s.lines) {
-		panic(fmt.Sprintf("memory: node %d: access to unmapped region %d", s.node, rid))
+		return fmt.Sprintf("memory: node %d: access to unmapped region %d (%d mapped)", s.node, rid, len(s.lines))
 	}
-	idx := a.Offset() >> s.as.blockShift
-	ch := s.lines[rid][idx>>chunkBits]
-	if ch == nil {
-		return s.slowLine(rid, idx, false)
-	}
-	if l := ch[idx&(chunkSize-1)]; l != nil {
-		return l
-	}
-	return s.slowLine(rid, idx, false)
+	r := s.as.regions[rid]
+	return fmt.Sprintf("memory: node %d: block %d outside region %d %q (%d bytes, %d blocks)", s.node, idx, rid, r.Name, r.Size, r.NumBlocks())
 }
 
 // slowLine materializes untouched lines: home-owned blocks appear in their
 // initial ReadWrite state; remote blocks appear only when create is set
 // (as Invalid lines with storage).
-func (s *Store) slowLine(rid int, idx int64, create bool) *Line {
-	home := s.as.regions[rid].HomeOf(idx) == s.node
+func (s *Store) slowLine(r *Region, chunks []*chunk, idx int64, create bool) *Line {
+	home := r.HomeOf(idx) == s.node
 	if !home && !create {
 		return nil
 	}
-	ch := s.lines[rid][idx>>chunkBits]
+	ch := chunks[idx>>chunkBits]
 	if ch == nil {
-		ch = make([]*Line, chunkSize)
-		s.lines[rid][idx>>chunkBits] = ch
+		ch = new(chunk)
+		chunks[idx>>chunkBits] = ch
 	}
-	l := ch[idx&(chunkSize-1)]
-	if l == nil {
-		l = &Line{Tag: Invalid, Data: make([]byte, s.as.blockSize)}
-		if home {
-			l.Tag = ReadWrite
-		}
-		ch[idx&(chunkSize-1)] = l
+	pg := ch[idx>>pageBits&(chunkPages-1)]
+	if pg == nil {
+		pg = new(page)
+		ch[idx>>pageBits&(chunkPages-1)] = pg
 	}
+	l := s.carve()
+	if home {
+		l.Tag = ReadWrite
+	}
+	pg[idx&(pageSize-1)] = l
+	return l
+}
+
+// carve takes the next Invalid, zeroed line off the current slab.
+func (s *Store) carve() *Line {
+	if len(s.slab) == 0 {
+		k := min(s.n+4, maxSlab) // 4, 8, 16, 32: each slab doubles the Store
+		s.slab = make([]Line, k)
+		s.data = make([]byte, k*s.as.blockSize)
+	}
+	l, bs := &s.slab[0], s.as.blockSize
+	l.Data = s.data[:bs:bs]
+	s.slab, s.data = s.slab[1:], s.data[bs:]
+	s.n++
 	return l
 }
 
 // Line returns the node's line for block b, or nil if none materialized.
-func (s *Store) Line(b Block) *Line { return s.lineAt(b) }
+func (s *Store) Line(b Block) *Line { return s.lineAt(b, missHome) }
 
 // Tag returns the node's access tag for the block containing a.
 func (s *Store) Tag(a Addr) Tag {
-	if l := s.lineAt(a); l != nil {
+	if l := s.lineAt(a, missHome); l != nil {
 		return l.Tag
 	}
 	return Invalid
 }
 
+// Peek reads block b without materializing it, for validation code that
+// must not grow the Store it inspects: a never-touched home block reads as
+// ReadWrite over the address space's shared zero block (read-only), a
+// never-touched remote one as Invalid with nil data.
+func (s *Store) Peek(b Block) (Tag, []byte) {
+	if l := s.lineAt(b, missPeek); l != nil {
+		return l.Tag, l.Data
+	}
+	if s.as.HomeOf(b) == s.node {
+		return ReadWrite, s.as.zero
+	}
+	return Invalid, nil
+}
+
 // Ensure returns the node's line for block b, materializing an Invalid
 // line with zeroed storage if needed.
-func (s *Store) Ensure(b Block) *Line {
-	rid := b.RegionID()
-	idx := b.Offset() >> s.as.blockShift
-	return s.slowLine(rid, idx, true)
-}
+func (s *Store) Ensure(b Block) *Line { return s.lineAt(b, missCreate) }
 
 // Install copies data into the node's line for b and sets its tag.
 func (s *Store) Install(b Block, data []byte, tag Tag) {
@@ -296,7 +373,7 @@ func (s *Store) Install(b Block, data []byte, tag Tag) {
 // SetTag changes the tag of an existing line; it panics if the line has
 // never been materialized (protocol bug).
 func (s *Store) SetTag(b Block, tag Tag) {
-	l := s.lineAt(b)
+	l := s.lineAt(b, missHome)
 	if l == nil {
 		panic(fmt.Sprintf("memory: node %d: SetTag on absent line %#x", s.node, uint64(b)))
 	}
@@ -305,7 +382,7 @@ func (s *Store) SetTag(b Block, tag Tag) {
 
 // Data returns the node's backing bytes for block b (it panics if absent).
 func (s *Store) Data(b Block) []byte {
-	l := s.lineAt(b)
+	l := s.lineAt(b, missHome)
 	if l == nil {
 		panic(fmt.Sprintf("memory: node %d: Data of absent line %#x", s.node, uint64(b)))
 	}
@@ -317,7 +394,7 @@ func (s *Store) checkAlign(a Addr, size int64) (l *Line, off int64) {
 	if off&(size-1) != 0 {
 		panic(fmt.Sprintf("memory: misaligned %d-byte access at %#x", size, uint64(a)))
 	}
-	return s.lineAt(a), off & int64(s.as.blockSize-1)
+	return s.lineAt(a, missHome), off & int64(s.as.blockSize-1)
 }
 
 // LoadF64 reads a float64; ok is false on an access fault.

@@ -1,6 +1,10 @@
 package memory
 
 import (
+	"bytes"
+	"fmt"
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -319,5 +323,194 @@ func TestHomePartitionProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// panicMessage runs f and returns what it panicked with ("" if it did not).
+func panicMessage(f func()) (msg string) {
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		}
+	}()
+	f()
+	return ""
+}
+
+// TestOutOfRangeAccessPanicsByName: an unmapped region and an offset past a
+// region's end (both reachable through Addr.Add) die with the package's
+// message naming node, region and size — on every entry point, and whether
+// the stray block falls past the chunk table or only past the last block.
+func TestOutOfRangeAccessPanicsByName(t *testing.T) {
+	as := NewAddressSpace(2, 32)
+	r := as.NewRegion("data", 1000, evenOdd) // 32 blocks
+	s := NewStore(as, 1)
+	entries := map[string]func(Addr){
+		"Line":    func(a Addr) { s.Line(a) },
+		"Ensure":  func(a Addr) { s.Ensure(a) },
+		"Peek":    func(a Addr) { s.Peek(a) },
+		"LoadF64": func(a Addr) { s.LoadF64(a) },
+	}
+	for _, tc := range []struct {
+		name string
+		a    Addr
+		want []string
+	}{
+		{"unmapped region", r.Base().Add(1 << offsetBits), []string{"memory: node 1:", "unmapped region 1"}},
+		{"before the base", r.Base().Add(-32), []string{"memory: node 1:", "unmapped region"}},
+		{"past the last block", r.Base().Add(32 * 32), []string{"memory: node 1:", "block 32 outside region 0 \"data\"", "1000 bytes", "32 blocks"}},
+		{"past the chunk table", r.Base().Add(32 << chunkBits), []string{"memory: node 1:", "block 4096 outside region 0 \"data\"", "1000 bytes"}},
+	} {
+		for name, entry := range entries {
+			msg := panicMessage(func() { entry(tc.a) })
+			for _, w := range tc.want {
+				if !strings.Contains(msg, w) {
+					t.Errorf("%s, %s: panic %q lacks %q", tc.name, name, msg, w)
+				}
+			}
+		}
+	}
+	if n := materialized(s); n != 0 {
+		t.Fatalf("out-of-range accesses materialized %d lines", n)
+	}
+}
+
+// materialized counts the lines reachable through s's table, and checks
+// that Lines agrees.
+func materialized(s *Store) (n int) {
+	for _, chunks := range s.lines {
+		for _, ch := range chunks {
+			if ch == nil {
+				continue
+			}
+			for _, pg := range ch {
+				if pg == nil {
+					continue
+				}
+				for _, l := range pg {
+					if l != nil {
+						n++
+					}
+				}
+			}
+		}
+	}
+	if n != s.Lines() {
+		panic(fmt.Sprintf("table holds %d lines, Lines() = %d", n, s.Lines()))
+	}
+	return n
+}
+
+// allocated returns the bytes f allocates.
+func allocated(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// TestStoreFootprintFollowsBlocksTouched: a node that holds four scattered
+// remote blocks of a 48 MB arena pays for four 512-byte chunks, four
+// 512-byte pages and one four-line slab on top of the region's chunk
+// table — nothing sized by the 4096-block window a block falls in.
+func TestStoreFootprintFollowsBlocksTouched(t *testing.T) {
+	for _, tc := range []struct {
+		blockSize int
+		limit     uint64
+	}{{32, 16 << 10}, {1024, 24 << 10}} {
+		as := NewAddressSpace(1024, tc.blockSize)
+		r := as.NewRegion("cells", 48<<20, func(b int64) int { return int(b % 1024) })
+		data := make([]byte, tc.blockSize)
+		data[0] = 7
+		var s *Store
+		got := allocated(func() {
+			s = NewStore(as, 3)
+			for _, q := range []int64{0, 1, 2, 3} {
+				s.Install(r.BlockAt(q*r.NumBlocks()/4+5), data, ReadOnly)
+			}
+		})
+		if got >= tc.limit {
+			t.Errorf("block size %d: NewStore + 4 scattered installs allocated %d bytes, want < %d", tc.blockSize, got, tc.limit)
+		}
+		if n := materialized(s); n != 4 {
+			t.Errorf("block size %d: %d lines materialized, want 4", tc.blockSize, n)
+		}
+		if tag, d := s.Peek(r.BlockAt(5)); tag != ReadOnly || d[0] != 7 {
+			t.Errorf("block size %d: installed block reads %v %v", tc.blockSize, tag, d[:1])
+		}
+	}
+}
+
+// TestLinesNeverMove: protocols hold *Line and its Data across later
+// materializations, so neither may be reallocated when the slabs grow; and
+// the lazy rules still hold on the far side of that growth.
+func TestLinesNeverMove(t *testing.T) {
+	as := NewAddressSpace(2, 32)
+	r := as.NewRegion("data", 32*20000, evenOdd)
+	s := NewStore(as, 0)
+
+	home, remote := r.BlockAt(0), r.BlockAt(1)
+	hl := s.Line(home)
+	rl := s.Ensure(remote)
+	hl.Data[3], rl.Data[4] = 0xaa, 0xbb
+	hd, rd := &hl.Data[0], &rl.Data[0]
+
+	for i := int64(2); i < 10002; i++ {
+		s.Ensure(r.BlockAt(i))
+	}
+	if n := materialized(s); n != 10002 {
+		t.Fatalf("%d lines materialized, want 10002", n)
+	}
+	if s.Line(home) != hl || s.Line(remote) != rl {
+		t.Fatal("a *Line changed identity after 10000 further materializations")
+	}
+	if &hl.Data[0] != hd || &rl.Data[0] != rd || hl.Data[3] != 0xaa || rl.Data[4] != 0xbb {
+		t.Fatal("a line's Data moved or lost its bytes")
+	}
+	if len(hl.Data) != 32 || cap(hl.Data) != 32 {
+		t.Fatalf("line Data len=%d cap=%d, want 32/32 (a line must not reach into its neighbour)", len(hl.Data), cap(hl.Data))
+	}
+
+	far := r.BlockAt(15000) // even: homed here
+	if l := s.Line(far); l == nil || l.Tag != ReadWrite || !bytes.Equal(l.Data, make([]byte, 32)) {
+		t.Fatalf("untouched home line = %+v, want ReadWrite and zeroed", l)
+	}
+	other := r.BlockAt(15001)
+	if s.Line(other) != nil || s.Tag(other) != Invalid {
+		t.Fatal("untouched remote line materialized by a read")
+	}
+	if l := s.Ensure(other); l.Tag != Invalid || !bytes.Equal(l.Data, make([]byte, 32)) {
+		t.Fatalf("Ensure = %+v, want Invalid and zeroed", l)
+	}
+	s.Install(r.BlockAt(15003), hl.Data, ReadOnly)
+	if l := s.Line(r.BlockAt(15003)); l == nil || l.Tag != ReadOnly || l.Data[3] != 0xaa {
+		t.Fatalf("Install = %+v", l)
+	}
+}
+
+// TestPeekDoesNotMaterialize: an untouched home block reads as ReadWrite
+// zeros, an untouched remote one as Invalid/nil, a materialized one as it
+// is — and none of it grows the Store.
+func TestPeekDoesNotMaterialize(t *testing.T) {
+	as, r := newTestSpace(t)
+	s := NewStore(as, 0)
+	homeB, remoteB := r.BlockAt(0), r.BlockAt(1)
+	if tag, d := s.Peek(homeB); tag != ReadWrite || !bytes.Equal(d, make([]byte, 32)) {
+		t.Fatalf("untouched home block peeks as %v %v", tag, d)
+	}
+	if tag, d := s.Peek(remoteB); tag != Invalid || d != nil {
+		t.Fatalf("untouched remote block peeks as %v %v", tag, d)
+	}
+	if n := materialized(s); n != 0 {
+		t.Fatalf("Peek materialized %d lines", n)
+	}
+	s.StoreF64(r.Addr(8), 2.5)
+	s.Install(remoteB, s.Data(homeB), ReadOnly)
+	if tag, d := s.Peek(homeB); tag != ReadWrite || &d[0] != &s.Data(homeB)[0] {
+		t.Fatalf("materialized home block peeks as %v, own data %v", tag, &d[0] == &s.Data(homeB)[0])
+	}
+	if tag, d := s.Peek(remoteB); tag != ReadOnly || !bytes.Equal(d, s.Data(homeB)) {
+		t.Fatalf("installed block peeks as %v %v", tag, d)
 	}
 }

@@ -724,7 +724,9 @@ func (m *Machine) Report() MetricsReport {
 // SnapshotBlock returns the authoritative contents of the block
 // containing a after the run completes: the home node's copy, or the
 // exclusive owner's when the directory records one (validation only — not
-// part of the simulated execution).
+// part of the simulated execution). The result is read-only: a block no
+// node ever touched is the address space's shared zero block, which the
+// snapshot does not materialize.
 func (m *Machine) SnapshotBlock(a memory.Addr) []byte {
 	b := m.AS.BlockOf(a)
 	home := m.Nodes[m.AS.HomeOf(a)]
@@ -732,11 +734,11 @@ func (m *Machine) SnapshotBlock(a memory.Addr) []byte {
 	if e := home.Dir.Lookup(b); e != nil && e.State == tempest.DirRemoteExcl {
 		src = m.Nodes[e.Owner].Store
 	}
-	l := src.Line(b)
-	if l == nil {
+	_, data := src.Peek(b)
+	if data == nil {
 		panic(fmt.Sprintf("rt: snapshot of absent block %#x", uint64(b)))
 	}
-	return l.Data
+	return data
 }
 
 // SnapshotF64 reads a shared value after the run completes, consulting the

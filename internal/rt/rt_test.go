@@ -3,6 +3,7 @@ package rt
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"presto/internal/memory"
@@ -333,6 +334,41 @@ func TestSnapshotFollowsOwner(t *testing.T) {
 	}
 	if got := m.SnapshotF64(arr.At(0, 0)); got != 9.5 {
 		t.Fatalf("snapshot = %v, want 9.5 (owner copy)", got)
+	}
+}
+
+// TestHashMemoryDoesNotMaterialize: hashing a machine whose 16 MB array no
+// node ever touched reads every block as the shared zero block — it
+// allocates next to nothing, leaves every Store empty, repeats, and still
+// equals FNV-1a over that many zero bytes.
+func TestHashMemoryDoesNotMaterialize(t *testing.T) {
+	const size = 16 << 20
+	m := New(Config{Nodes: 16, BlockSize: 32})
+	m.NewArray1D("big", size/8, 1, false)
+	if err := m.Run(func(*Worker) {}); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	h1 := m.HashMemory()
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 64<<10 {
+		t.Errorf("HashMemory allocated %d bytes over an untouched %d-byte array, want < 64 KB", got, size)
+	}
+	if h2 := m.HashMemory(); h2 != h1 {
+		t.Errorf("HashMemory = %016x, then %016x", h1, h2)
+	}
+	want := uint64(14695981039346656037)
+	for i := 0; i < size; i++ {
+		want *= 1099511628211 // FNV-1a of a zero byte: the XOR changes nothing
+	}
+	if h1 != want {
+		t.Errorf("HashMemory = %016x, want %016x (FNV-1a of %d zero bytes)", h1, want, size)
+	}
+	for _, n := range m.Nodes {
+		if got := n.Store.Lines(); got != 0 {
+			t.Errorf("node %d holds %d lines after HashMemory, want 0", n.ID, got)
+		}
 	}
 }
 

@@ -268,7 +268,7 @@ func (w *Worker) Gather(addrs []memory.Addr) {
 			continue
 		}
 		seen[b] = true
-		if l := w.Node.Store.Line(b); l != nil && l.Tag != memory.Invalid {
+		if tag, _ := w.Node.Store.Peek(b); tag != memory.Invalid {
 			continue // already cached
 		}
 		home := w.M.AS.HomeOf(b)

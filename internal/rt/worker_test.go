@@ -107,10 +107,15 @@ func TestGatherAllLocalIsFree(t *testing.T) {
 		for i := lo; i < hi; i++ {
 			addrs = append(addrs, arr.At(i, 0))
 		}
-		msgs := w.Node.Stats.MsgsSent
+		msgs, lines := w.Node.Stats.MsgsSent, w.Node.Store.Lines()
 		w.Gather(addrs) // everything local: no messages, no wait
 		if w.Node.Stats.MsgsSent != msgs {
 			t.Errorf("local gather sent messages")
+		}
+		// The "already cached" probe reads untouched home blocks as
+		// ReadWrite without materializing them.
+		if got := w.Node.Store.Lines(); got != lines {
+			t.Errorf("gather probe grew the store from %d to %d lines", lines, got)
 		}
 		w.Barrier()
 	}); err != nil {
