@@ -146,3 +146,28 @@ func TestAdaptivePhysicalBounds(t *testing.T) {
 		t.Fatalf("potential not decaying from the hot wall: near=%v far=%v", nearWall, farWall)
 	}
 }
+
+// TestAdaptiveSwitchesBoundedByFaults: a compute Proc gives the baton up only
+// when it blocks, and gets it back on the event that wakes it — a fault's
+// reply or a resume event (spawn, barrier release) — so coroutine switches are
+// bounded by faults plus resumes, and are the same number on every run.
+func TestAdaptiveSwitchesBoundedByFaults(t *testing.T) {
+	var first int64
+	for i := 0; i < 3; i++ {
+		r, err := Run(smallCfg(rt.ProtoStache, 32))
+		if err != nil {
+			t.Fatal(err)
+		}
+		sw := r.Machine.Kernel.Switches()
+		faults := r.Counters.ReadFaults + r.Counters.WriteFaults
+		resumes := r.Machine.Kernel.Stats().Resumes
+		if sw == 0 || sw > faults+resumes {
+			t.Fatalf("%d switches, want 1..%d (%d faults + %d resumes)", sw, faults+resumes, faults, resumes)
+		}
+		if i == 0 {
+			first = sw
+		} else if sw != first {
+			t.Fatalf("run %d: %d switches, run 0: %d", i, sw, first)
+		}
+	}
+}

@@ -2,46 +2,29 @@ package sim
 
 // Direct-dispatch event loop.
 //
-// The serial engine used to bounce every event through a dedicated
-// scheduler goroutine: a Proc that blocked handed control to the kernel
-// goroutine (one channel rendezvous), which popped the next event and
-// handed control to the next Proc (a second rendezvous) — two goroutine
-// switches per dispatched event. Since exactly one goroutine may run at a
-// time anyway, the scheduler loop does not need its own goroutine: it is
-// a baton. Whichever Proc goroutine can no longer run executes the
-// dispatch loop inline (serialNext) and transfers control directly to the
-// Proc the next event wakes — one rendezvous — or, when the next event
-// targets itself, simply keeps running with no channel operation at all
-// (the Sleep/self-delivery fast path). Events that wake nobody (a
-// delivery to a busy Proc) are absorbed inline without any switch, and so
-// are events for handler Procs, whose bodies run inside the loop
-// (handler.go): a fault's request → home handler → reply → local handler →
-// wake chain completes on the faulting Proc's goroutine and usually ends in
-// dispatchSelf.
+// Exactly one Proc may run at a time, so the scheduler loop needs no
+// goroutine of its own: it is a baton. A Proc that can no longer run
+// executes the dispatch loop inline (serialNext) until an event wakes a
+// goroutine Proc. If that Proc is itself — Sleep, self-delivery, a fault
+// served entirely by handler Procs — it simply keeps running: zero
+// switches. Events that wake nobody (a delivery to a busy Proc) are
+// absorbed inline, and so are events for handler Procs, whose bodies run
+// inside the loop (handler.go). Otherwise it records the woken Proc as its
+// successor (Proc.to) and parks its coroutine (coro.go), which returns
+// control to the trampoline — Run's goroutine — and the trampoline resumes
+// the successor. Both halves are user-level coroswitches on the current
+// thread; a channel rendezvous here would make the Go scheduler wake an
+// idle P for a goroutine that can never run concurrently with its waker,
+// a futex call per blocking fault.
 //
-// Run's goroutine only holds the baton at the very start and receives it
-// back — via k.park — when the simulation stops: queue drained, MaxEvents
-// exceeded, or a Proc panicked. The event order, statistics and observable
-// behavior are exactly those of the classic central loop; only the number
-// of goroutine switches changes. The lane engine applies the same pattern
-// within each lane (see parallel.go).
+// A dispatcher that returns nil has nothing left to dispatch — queue
+// drained, MaxEvents exceeded, or a Proc panicked: the trampoline runs out
+// and Run returns. Event order, statistics and observable behavior are
+// those of a classic central loop. The lane and window dispatchers of the
+// parallel engine (parallel.go) follow the same contract and share the
+// yield and finish below.
 
-// dispatchOutcome says where control went after a dispatch step.
-type dispatchOutcome int
-
-const (
-	// dispatchSelf: the next event reactivated the calling Proc itself —
-	// it may simply continue running (no channel operation happened).
-	dispatchSelf dispatchOutcome = iota
-	// dispatchHandoff: another Proc received the baton; the caller must
-	// block (or, if finished, may exit).
-	dispatchHandoff
-	// dispatchStop: no further event can be dispatched here — the baton
-	// must return to the engine goroutine.
-	dispatchStop
-)
-
-// stopReason records why the baton came back to Run.
+// stopReason records why serialNext ran out of Procs to run.
 type stopReason int
 
 const (
@@ -50,22 +33,20 @@ const (
 	stopPanic                     // a Proc panicked (k.failed)
 )
 
-// serialNext dispatches pending events on the calling goroutine until
-// control must move: it returns dispatchSelf when an event reactivates
-// self (the calling Proc), dispatchHandoff after waking a different Proc
-// (which now owns the baton), or dispatchStop after recording the stop
-// reason on the kernel. Pass self == nil when the caller cannot be
-// reactivated (the engine goroutine, or a finished Proc).
-func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
+// serialNext dispatches pending events on the calling goroutine until one
+// wakes a goroutine Proc, and returns that Proc — now stateRunning and
+// owed the baton; the caller may be it. It returns nil after recording the
+// stop reason on the kernel.
+func (k *Kernel) serialNext() *Proc {
 	for {
 		if k.sched.len() == 0 {
 			k.stop = stopDrained
-			return dispatchStop
+			return nil
 		}
 		if k.MaxEvents > 0 && k.processed >= k.MaxEvents {
 			k.stop = stopRunaway
 			k.stopAt = k.sched.peek().at
-			return dispatchStop
+			return nil
 		}
 		if n := k.sched.len(); n > k.maxQueue {
 			k.maxQueue = n
@@ -104,7 +85,7 @@ func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
 				// dispatch continues (handler.go).
 				if !p.handle(Delivery{At: at, Posted: posted, From: from, Msg: msg}) {
 					k.stop, k.failed = stopPanic, p
-					return dispatchStop
+					return nil
 				}
 				continue
 			}
@@ -114,48 +95,48 @@ func (k *Kernel) serialNext(self *Proc) dispatchOutcome {
 			}
 		}
 		p.state = stateRunning
-		if p == self {
-			return dispatchSelf
-		}
-		p.resume <- struct{}{}
-		return dispatchHandoff
+		return p
 	}
+}
+
+// dispatch runs the dispatcher p lives under — serial, its lane's, or the
+// window executor's when lanes run serialized — and returns the Proc to
+// run next, nil for none. self is the calling Proc if it can be
+// reactivated (a finished one passes nil).
+func (p *Proc) dispatch(self *Proc) *Proc {
+	l := p.lane
+	switch {
+	case l == nil:
+		return p.k.serialNext()
+	case l.wex != nil:
+		return l.wex.next(self)
+	}
+	return l.laneNext()
 }
 
 // yield hands the baton onward from a Proc that has just blocked. The
 // caller must have set its state (blocked/sleeping) beforehand; yield
-// returns when an event reactivates the Proc.
+// returns when an event reactivates the Proc — at once, without a switch,
+// if that is the next event to wake anyone.
 func (p *Proc) yield() {
-	if l := p.lane; l != nil {
-		l.yieldFrom(p)
-		return
-	}
-	switch p.k.serialNext(p) {
-	case dispatchSelf:
-		// Reactivated without leaving this goroutine.
-	case dispatchHandoff:
-		p.block()
-	case dispatchStop:
-		p.k.park <- struct{}{}
-		p.block() // until the returning engine reaps it
+	if q := p.dispatch(p); q != p {
+		p.to = q
+		p.block() // with q == nil, until the returning engine reaps it
 	}
 }
 
-// finish passes the baton onward from a Proc whose body has returned (or
-// panicked). It runs on the Proc's goroutine as its final act.
+// finish names the successor of a Proc whose body has returned or
+// panicked; it runs as the coroutine's final act. A panic stops the serial
+// run, or the rest of the Proc's lane for this window — the commit
+// re-raises it at this step's position in global order.
 func (p *Proc) finish() {
-	if l := p.lane; l != nil {
-		l.finishFrom(p)
-		return
-	}
-	k := p.k
 	if p.panicVal != nil {
-		k.stop = stopPanic
-		k.failed = p
-		k.park <- struct{}{}
-		return
+		l := p.lane
+		if l == nil {
+			p.k.stop, p.k.failed, p.to = stopPanic, p, nil
+			return
+		}
+		l.cur.panicked, l.stopped = p.panicVal, true
 	}
-	if k.serialNext(nil) == dispatchStop {
-		k.park <- struct{}{}
-	}
+	p.to = p.dispatch(nil)
 }

@@ -11,9 +11,8 @@ import "fmt"
 //
 //	Spawn(name, func(p *Proc) { for { fn(p, p.Recv()) } })
 //
-// and every delivery costs a channel rendezvous (and a futex wake of an
-// idle P) to move the baton onto a goroutine that, by the serial contract,
-// can never run in parallel with the one that handed it over.
+// and every delivery costs a coroutine switch to move the baton onto a
+// goroutine whose stack holds nothing between messages.
 //
 // SpawnHandler(name, fn) is that loop without the goroutine. The Proc keeps
 // its clock, attribution slot and lane; the dispatch loops (serialNext,

@@ -120,7 +120,6 @@ type laneStep struct {
 // round's fork/join provides the happens-before edges.
 type lane struct {
 	id        int
-	park      chan struct{}
 	pool      eventPool
 	pending   []*event // sorted window events; consumed from phead
 	phead     int
@@ -211,23 +210,17 @@ func (l *lane) postLocal(at Time, kind eventKind, dst, from *Proc, msg any, post
 }
 
 // run drains the lane's pending window events, mirroring the serial
-// kernel's dispatch for each one and logging a step per event. Control
-// transfers directly between the lane's Proc goroutines (the same baton
-// pattern as the serial engine, dispatch.go): run hands off to the first
-// Proc the window wakes and waits on l.park for the baton back when the
-// lane's window work is done.
-func (l *lane) run() {
-	if l.laneNext(nil) == dispatchHandoff {
-		<-l.park
-	}
-}
+// kernel's dispatch for each one and logging a step per event. The calling
+// pool worker is the lane's trampoline for this window (dispatch.go).
+func (l *lane) run() { drive(l.laneNext()) }
 
 // laneNext dispatches the lane's pending window events on the calling
-// goroutine until control must move (see serialNext for the contract).
-func (l *lane) laneNext(self *Proc) dispatchOutcome {
+// goroutine until one wakes a goroutine Proc (see serialNext for the
+// contract); nil means the lane's window work is done.
+func (l *lane) laneNext() *Proc {
 	for {
 		if l.stopped || l.phead == len(l.pending) {
-			return dispatchStop
+			return nil
 		}
 		e := l.pending[l.phead]
 		l.pending[l.phead] = nil
@@ -259,7 +252,7 @@ func (l *lane) laneNext(self *Proc) dispatchOutcome {
 		case evDeliver:
 			if p.hfn != nil {
 				// Handler Proc: run its body inline (handler.go). A panic
-				// stops the lane as a goroutine Proc's does (finishFrom).
+				// stops the lane as a goroutine Proc's does (Proc.finish).
 				if !p.handle(Delivery{At: e.at, Posted: e.posted, From: e.from, Msg: e.msg}) {
 					st.panicked = p.panicVal
 					l.stopped = true
@@ -272,47 +265,7 @@ func (l *lane) laneNext(self *Proc) dispatchOutcome {
 			}
 		}
 		p.state = stateRunning
-		if p == self {
-			return dispatchSelf
-		}
-		p.resume <- struct{}{}
-		return dispatchHandoff
-	}
-}
-
-// yieldFrom hands the lane baton onward from a Proc that just blocked.
-func (l *lane) yieldFrom(p *Proc) {
-	if x := l.wex; x != nil {
-		x.yieldFrom(p)
-		return
-	}
-	switch l.laneNext(p) {
-	case dispatchSelf:
-	case dispatchHandoff:
-		p.block()
-	case dispatchStop:
-		l.park <- struct{}{}
-		p.block()
-	}
-}
-
-// finishFrom hands the lane baton onward from a Proc whose body returned
-// or panicked; it runs as the goroutine's final act. A panic stops the
-// lane's window immediately — the commit re-raises it at this step's
-// position in global order.
-func (l *lane) finishFrom(p *Proc) {
-	if x := l.wex; x != nil {
-		x.finishFrom(p)
-		return
-	}
-	if p.panicVal != nil {
-		l.cur.panicked = p.panicVal
-		l.stopped = true
-		l.park <- struct{}{}
-		return
-	}
-	if l.laneNext(nil) == dispatchStop {
-		l.park <- struct{}{}
+		return p
 	}
 }
 
@@ -325,13 +278,13 @@ func (l *lane) finishFrom(p *Proc) {
 // never refills after draining — in-window posts land only on the posting
 // Proc's own lane — so one forward sweep suffices.
 //
-// In chain mode the baton crosses window boundaries too: the goroutine
-// that drains the window's last lane commits the window, opens the next
-// one, and keeps dispatching. The engine goroutine parks once at the start
-// and receives the baton back (via k.park) only when the run stops —
-// scheduler drained, commit error, or a re-raised Proc panic (recorded on
+// In chain mode the baton crosses window boundaries too: the Proc that
+// drains the window's last lane commits the window, opens the next one,
+// and keeps dispatching. The engine goroutine is the trampoline for the
+// whole run and runs out of Procs only when the run stops — scheduler
+// drained, commit error, or a re-raised Proc panic (recorded on
 // err/panicVal). The commit still runs single-threaded in global order on
-// whichever goroutine holds the baton, so its semantics are unchanged.
+// whichever coroutine holds the baton, so its semantics are unchanged.
 type winExec struct {
 	k      *Kernel
 	width  Time          // executed window width (scalar, or the matrix's min row)
@@ -454,8 +407,10 @@ func (x *winExec) close() bool {
 
 // next dispatches remaining window events across lanes on the calling
 // goroutine; the contract matches serialNext. In chain mode a drained
-// window is committed and the next one opened without releasing the baton.
-func (x *winExec) next(self *Proc) dispatchOutcome {
+// window is committed and the next one opened without releasing the baton,
+// visiting the lane of self — the calling Proc, if it can run again —
+// first.
+func (x *winExec) next(self *Proc) *Proc {
 	for {
 		// Per-lane dispatch, inlined from laneNext: this runs once per
 		// simulated event, and the extra call frames measurably slow the
@@ -504,16 +459,12 @@ func (x *winExec) next(self *Proc) dispatchOutcome {
 					}
 				}
 				p.state = stateRunning
-				if p == self {
-					return dispatchSelf
-				}
-				p.resume <- struct{}{}
-				return dispatchHandoff
+				return p
 			}
 			x.idx++
 		}
 		if !x.chain || !x.advance(self) {
-			return dispatchStop
+			return nil
 		}
 	}
 }
@@ -544,8 +495,7 @@ func (x *winExec) advance(self *Proc) (ok bool) {
 	// visit order within a window is semantically free — lanes are
 	// independent and the commit order is fixed separately (x.order / the
 	// merge) — and starting with self's lane lets its next event continue
-	// on this goroutine (dispatchSelf), skipping a channel rendezvous at
-	// the window boundary.
+	// on this coroutine, skipping a switch at the window boundary.
 	if self != nil && self.lane.active {
 		for j, c := range x.active {
 			if c == self.lane {
@@ -557,40 +507,13 @@ func (x *winExec) advance(self *Proc) (ok bool) {
 	return true
 }
 
-func (x *winExec) yieldFrom(p *Proc) {
-	switch x.next(p) {
-	case dispatchSelf:
-	case dispatchHandoff:
-		p.block()
-	case dispatchStop:
-		x.k.park <- struct{}{}
-		p.block()
-	}
-}
-
-func (x *winExec) finishFrom(p *Proc) {
-	if p.panicVal != nil {
-		// Record the panic and move on to the remaining lanes: their
-		// effects stay buffered, and the commit re-raises the panic at
-		// this step's position before reaching any of them.
-		l := p.lane
-		l.cur.panicked = p.panicVal
-		l.stopped = true
-	}
-	if x.next(nil) == dispatchStop {
-		x.k.park <- struct{}{}
-	}
-}
-
-// run1 executes a single-active-lane window on the engine goroutine with
-// the baton crossing directly (no worker handoff). Worker-pool mode only;
-// the engine commits the window afterwards.
+// run1 executes a single-active-lane window with the engine goroutine as
+// its trampoline (no worker handoff). Worker-pool mode only; the engine
+// commits the window afterwards.
 func (x *winExec) run1() {
 	l := x.active[0]
 	l.wex = x
-	if x.next(nil) == dispatchHandoff {
-		<-x.k.park
-	}
+	drive(x.next(nil))
 	l.wex = nil
 }
 
@@ -651,7 +574,7 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 	k.parallel = true
 	lanes := make([]*lane, nlanes)
 	for i := range lanes {
-		lanes[i] = &lane{id: i, park: make(chan struct{}, 1)}
+		lanes[i] = &lane{id: i}
 	}
 	for _, p := range k.procs {
 		li := laneOf(p)
@@ -735,30 +658,24 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 
 	if pool == nil {
 		// Serialized engine: the baton chains across lanes and windows
-		// alike, so the entire run costs the same goroutine switches as
-		// the serial engine plus exactly one park rendezvous at the end.
+		// alike, so the entire run costs the same coroutine switches as
+		// the serial engine.
 		wx.chain = true
 		for _, l := range lanes {
 			l.wex = wx
 		}
 		if k.sched.len() > 0 {
 			if err := wx.open(); err != nil {
-				k.finished = true
 				return err
 			}
-			if wx.next(nil) == dispatchHandoff {
-				<-k.park
-			}
+			drive(wx.next(nil))
 			if wx.fault != nil {
-				k.finished = true
 				panic(wx.fault)
 			}
 			if wx.panicVal != nil {
-				k.finished = true
 				panic(wx.panicVal)
 			}
 			if wx.err != nil {
-				k.finished = true
 				return wx.err
 			}
 		}
@@ -767,7 +684,6 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 
 	for k.sched.len() > 0 {
 		if err := wx.open(); err != nil {
-			k.finished = true
 			return err
 		}
 		var t0 time.Time
@@ -788,7 +704,6 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 			k.eng.Steals = atomic.LoadInt64(&steals)
 		}
 		if !wx.close() {
-			k.finished = true
 			if wx.panicVal != nil {
 				panic(wx.panicVal)
 			}

@@ -1,16 +1,17 @@
 // Package sim provides a deterministic discrete-event simulation kernel.
 //
 // The kernel models a parallel machine in virtual time. Each simulated
-// activity is a Proc: a goroutine with a private virtual clock that
-// exchanges timestamped messages with other Procs and synchronizes at
+// activity is a Proc: a coroutine (coro.go) with a private virtual clock
+// that exchanges timestamped messages with other Procs and synchronizes at
 // barriers. A Proc that only ever reacts to messages — a protocol
 // processor running run-to-completion handlers — is a handler Proc
 // (SpawnHandler): the same clock, attribution and lane, but no goroutine;
 // the dispatch loop runs its body inline (see handler.go).
 // Under the serial engine (Run) the kernel serializes execution —
-// exactly one Proc goroutine runs at any real instant, and control is
-// handed out in global (timestamp, sequence) order — so simulations are
-// fully deterministic and need no locking in the simulated node state.
+// exactly one Proc runs at any real instant, and control is handed out in
+// global (timestamp, sequence) order by user-level switches that wake no
+// thread (dispatch.go) — so simulations are fully deterministic and need
+// no locking in the simulated node state.
 //
 // The parallel engine (RunParallel) executes groups of Procs ("lanes")
 // concurrently inside conservative lookahead windows and commits their
@@ -27,7 +28,6 @@ package sim
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 )
@@ -119,11 +119,19 @@ type Proc struct {
 	mhead int
 	mlen  int
 
-	resume chan struct{} // nil for a handler Proc, which has no goroutine
-	lane   *lane         // non-nil while running under the parallel engine
+	// The Proc's coroutine (coro.go); all nil for a handler Proc, which has
+	// no goroutine. to is the baton: the Proc the trampoline resumes after
+	// this one parks or returns (nil: none, the run stops).
+	next     func() (struct{}, bool)
+	stop     func()
+	park     func(struct{}) bool
+	to       *Proc
+	switches int64 // times the trampoline resumed this Proc
+
+	lane   *lane // non-nil while running under the parallel engine
 	fn     func(*Proc)
 	hfn    func(*Proc, Delivery) // handler Proc body (handler.go); fn is nil
-	killed bool                  // the engine is returning: exit instead of resuming
+	killed bool                  // the engine is returning: unwind instead of resuming
 
 	// Time attribution (record.go). aslot == nil — the default — disables
 	// charging entirely; the hot paths then pay one nil check.
@@ -294,11 +302,10 @@ type Kernel struct {
 	procs []*Proc
 	sched scheduler
 	seq   uint64
-	park  chan struct{} // the baton returns here when the serial engine stops
 	pool  eventPool
 	batch []*event // scratch for batch barrier releases
 
-	// stop bookkeeping for the direct-dispatch baton (dispatch.go).
+	// why the serial trampoline ran out of Procs (dispatch.go).
 	stop   stopReason
 	stopAt Time
 	failed *Proc
@@ -350,23 +357,34 @@ func (k *Kernel) Stats() KernelStats {
 // at DefaultWheelGranularity; UseScheduler selects the heap reference or a
 // different bucket width.
 func NewKernel() *Kernel {
-	return &Kernel{park: make(chan struct{}), sched: newWheel(DefaultWheelGranularity, 0)}
+	return &Kernel{sched: newWheel(DefaultWheelGranularity, 0)}
 }
 
 // Spawn registers a new Proc that will begin executing fn at virtual time 0
 // when Run is called (or immediately, if the serial simulation is already
 // running). Daemon Procs (see SetDaemon) do not prevent Run from
-// completing. Spawning after RunParallel has started is not supported.
+// completing. Spawning after RunParallel has started, or on a kernel that
+// has finished, panics.
+//
+// fn runs on a coroutine resumed from the goroutine that called Run (or a
+// pool worker of RunParallel), so a runtime.Goexit made by fn itself —
+// t.FailNow from inside a Proc — ends that caller, with the kernel's
+// teardown (reap) still running on the way out. The Go runtime requires
+// the resuming goroutine to hold the OS-thread lock state Spawn was
+// called under: a caller under runtime.LockOSThread must Spawn and Run on
+// that one goroutine, without worker pools or daemons left to reap.
 func (k *Kernel) Spawn(name string, fn func(*Proc)) *Proc {
 	p := k.newProc(name)
 	p.fn = fn
-	p.resume = make(chan struct{})
-	go p.run()
+	p.start()
 	return p
 }
 
 // newProc registers a Proc and posts the evResume that starts it at time 0.
 func (k *Kernel) newProc(name string) *Proc {
+	if k.finished {
+		panic("sim: Spawn on a finished kernel")
+	}
 	if k.started && k.parallel {
 		panic("sim: Spawn during a parallel run")
 	}
@@ -389,55 +407,10 @@ func (k *Kernel) newProc(name string) *Proc {
 // and every daemon is blocked waiting for messages.
 func (p *Proc) SetDaemon(d bool) { p.daemon = d }
 
-// run is the body of a Proc's goroutine.
-func (p *Proc) run() {
-	defer func() {
-		r := recover()
-		if p.killed {
-			p.resume <- struct{}{} // tell reap this goroutine has unwound
-			return
-		}
-		if r != nil {
-			p.recordPanic(r)
-		}
-		p.state = stateDone
-		p.finish()
-	}()
-	<-p.resume
-	if !p.killed {
-		p.fn(p)
-	}
-}
-
 // recordPanic notes that p's body panicked with r; the engine re-raises it.
 func (p *Proc) recordPanic(r any) {
 	p.err = fmt.Errorf("proc %q panicked: %v", p.name, r)
 	p.panicVal = r
-}
-
-// block parks the Proc's goroutine until an event hands it the baton. If
-// the engine is returning instead (reap), the goroutine unwinds — running
-// the body's deferred calls — and exits without touching the kernel.
-func (p *Proc) block() {
-	<-p.resume
-	if p.killed {
-		runtime.Goexit()
-	}
-}
-
-// reap releases every Proc goroutine still parked when the engine returns —
-// daemons blocked in Recv, deadlocked Procs, Procs a runaway or panic
-// stopped short — so a finished kernel holds no goroutine and everything it
-// references is collectable. One goroutine unwinds at a time: the serial
-// contract covers the bodies' deferred calls too.
-func (k *Kernel) reap() {
-	for _, p := range k.procs {
-		if p.resume != nil && p.state != stateDone {
-			p.killed = true
-			p.resume <- struct{}{}
-			<-p.resume
-		}
-	}
 }
 
 func (k *Kernel) post(e *event) {
@@ -694,32 +667,27 @@ func (e *DeadlockError) Error() string {
 // value if a Proc panicked. However it stops, no Proc goroutine outlives
 // it (reap).
 //
-// "Serially" means one Proc goroutine runs at a time; control is handed
-// directly from Proc to Proc in global event order (see dispatch.go), and
-// this goroutine resumes only when the simulation stops.
+// "Serially" means one Proc runs at a time; the baton passes from Proc to
+// Proc in global event order (see dispatch.go), and this goroutine is the
+// trampoline that performs each switch.
 func (k *Kernel) Run() error {
 	if k.finished {
 		return fmt.Errorf("sim: kernel already ran")
 	}
 	k.started = true
 	defer k.reap()
-	if k.serialNext(nil) == dispatchHandoff {
-		<-k.park
-	}
+	drive(k.serialNext())
 	switch k.stop {
 	case stopRunaway:
-		k.finished = true
 		return &RunawayError{Events: k.processed, At: k.stopAt}
 	case stopPanic:
-		k.finished = true
 		panic(k.failed.panicVal)
 	}
 	return k.conclude()
 }
 
-// conclude marks the simulation finished and scans for deadlocked Procs.
+// conclude scans a stopped simulation for deadlocked Procs.
 func (k *Kernel) conclude() error {
-	k.finished = true
 	var blocked []string
 	for _, p := range k.procs {
 		if p.state == stateDone {
