@@ -1,19 +1,37 @@
 // Package interp executes compiled cstar programs on the simulated DSM
 // machine, closing the loop the original system implemented: the C**
 // compiler's directives drive the predictive protocol in the runtime
-// (paper §1). Main runs SPMD on every node's compute processor; parallel
-// calls partition the parallel aggregate's elements over the nodes;
-// compiler-placed directives fire the pre-send phase at the points the
-// placement analysis chose (including hoisted loop preheaders).
+// (paper §1). Main runs SPMD on every node's compute processor; a parallel
+// call partitions its parallel aggregate's elements over the nodes.
+//
+// Run lowers the Analysis once (lower.go), then executes it. Main and the
+// parallel functions it calls become closures over a per-worker frame:
+// scalars, loop variables and scalar parameters are []float64 slots; a field
+// access is a plane (parameter, field) bound once per call site, plus index
+// closures; directives attach to the statements of main they precede.
+//
+// Simulated cost: in parallel code each literal, name, position, operator,
+// intrinsic and field read costs one Options.CostOp, a field write two.
+// Expressions have no short-circuit forms, so each statement's cost is
+// summed at lowering; an element charges its total in one Worker.Compute
+// after it finishes. Shared accesses keep evaluation order: left before
+// right, a written value before the written element's index.
 //
 // Semantics notes: aggregate sizes must be compile-time constants;
 // out-of-range element reads yield the boundary value 0 and out-of-range
-// writes are dropped (mesh boundary convention); main's sequential code
-// may not access aggregate elements directly (use reduce), matching the
-// paper's restriction of the analyzed sequential portion.
+// writes are dropped (mesh boundary convention); main may not access
+// aggregate elements directly (use reduce), matching the paper's
+// restriction of the analyzed sequential portion. Errors in code (unknown
+// names or fields, intrinsic arity, reduce in a parallel function, ...)
+// are raised only if it runs. `a % b` truncates both operands; a divisor
+// truncating to 0 is the run error "modulo by zero". Scoping is lexical,
+// so Run rejects a `let x` directly in a loop body after a use there of an
+// outer x (`for k in 0..3 { s = s + y; let y = 100; }`): the use would read
+// the outer y or the previous iteration's.
 package interp
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 
@@ -48,21 +66,38 @@ type Result struct {
 // phase that writes one field while neighbors read another into
 // false-sharing conflicts (paper §3.3).
 type aggHandle struct {
-	decl *lang.AggregateDecl
-	g2   []*rt.Grid2D  // one per field (2-D)
-	a1   []*rt.Array1D // one per field (1-D)
-	rows int
-	cols int // 1 for 1-D
+	decl   *lang.AggregateDecl
+	planes []plane // one per field
+	// Field 0's storage, whose distribution partitions the elements.
+	grid *rt.Grid2D  // 2-D
+	arr  *rt.Array1D // 1-D
 }
 
-func (h *aggHandle) at(i, j, field int) (memory.Addr, bool) {
-	if i < 0 || i >= h.rows || j < 0 || j >= h.cols {
+// plane is one field's storage: element (i,j) lives at base+(i*cols+j)*8.
+type plane struct {
+	base       memory.Addr
+	rows, cols int
+}
+
+func (p *plane) addr(i, j int) (memory.Addr, bool) {
+	if uint(i) >= uint(p.rows) || uint(j) >= uint(p.cols) {
 		return 0, false
 	}
-	if h.g2 != nil {
-		return h.g2[field].At(i, j, 0), true
+	return p.base.Add(int64(i*p.cols+j) * 8), true
+}
+
+// owned returns the element rectangle worker w computes: rows [rlo,rhi)
+// by columns [clo,chi).
+func (h *aggHandle) owned(w *rt.Worker) (rlo, rhi, clo, chi int) {
+	switch {
+	case h.arr != nil:
+		lo, hi := h.arr.MyRange(w)
+		return lo, hi, 0, 1
+	case h.grid.Dist == rt.Tiled:
+		return h.grid.MyTile(w)
 	}
-	return h.a1[field].At(i, 0), true
+	lo, hi := h.grid.MyRows(w)
+	return lo, hi, 0, h.grid.Cols
 }
 
 // Run executes an analyzed program under the given machine options.
@@ -71,12 +106,53 @@ func Run(a *compiler.Analysis, opt Options) (*Result, error) {
 		opt.CostOp = 300 * sim.Nanosecond
 	}
 	m := rt.New(opt.Machine)
+	aggs, err := allocAggs(a, m)
+	if err != nil {
+		return nil, err
+	}
+	dirBefore, err := directives(a)
+	if err != nil {
+		return nil, err
+	}
+	p, err := lower(a, aggs, dirBefore, opt.CostOp)
+	if err != nil {
+		return nil, err
+	}
+	scalars := map[string]float64{}
+	var runErr error
+	err = m.Run(func(w *rt.Worker) {
+		defer catch(&runErr)
+		fr := &frame{w: w, slots: make([]float64, p.nslots), par: make([]float64, p.parSlots)}
+		p.run(fr)
+		if w.ID == 0 {
+			for name, k := range p.scopes[0].slots {
+				scalars[name] = fr.slots[k]
+			}
+		}
+	})
+	// A run error goes ahead of the deadlock it leaves behind when the
+	// other workers wait at a barrier the failed one never reaches.
+	if runErr != nil {
+		err = runErr
+	}
+	if err != nil {
+		return nil, err
+	}
+	return &Result{
+		Machine:   m,
+		Breakdown: m.Breakdown(),
+		Counters:  m.Counters(),
+		Scalars:   scalars,
+	}, nil
+}
 
-	// Pre-allocate aggregates (sizes must be constant expressions).
-	aggs := map[string]*aggHandle{}
-	var allocErr error
+// allocAggs allocates every aggregate main instantiates (sizes must be
+// constant expressions).
+func allocAggs(a *compiler.Analysis, m *rt.Machine) (aggs map[string]*aggHandle, err error) {
+	defer catch(&err) // modulo by zero in a size
+	aggs = map[string]*aggHandle{}
 	collectAggLets(a.Main.Body, func(l *lang.LetStmt) {
-		if allocErr != nil || aggs[l.Name] != nil {
+		if err != nil || aggs[l.Name] != nil {
 			return
 		}
 		decl := a.Prog.Aggregate(l.AggType)
@@ -84,36 +160,39 @@ func Run(a *compiler.Analysis, opt Options) (*Result, error) {
 		for k, e := range l.AggDims {
 			v, ok := constEval(e)
 			if !ok || v <= 0 || v != math.Trunc(v) {
-				allocErr = fmt.Errorf("interp: aggregate %s size must be a positive constant", l.Name)
+				err = fmt.Errorf("interp: aggregate %s size must be a positive constant", l.Name)
 				return
 			}
 			sizes[k] = int(v)
 		}
+		dist := rt.RowBlock
+		if decl.Dist == "tiled" {
+			dist = rt.Tiled
+		}
 		h := &aggHandle{decl: decl}
-		if decl.Dims == 2 {
-			dist := rt.RowBlock
-			if decl.Dist == "tiled" {
-				dist = rt.Tiled
-			}
-			h.rows, h.cols = sizes[0], sizes[1]
-			for _, f := range decl.Fields {
-				h.g2 = append(h.g2, m.NewGrid2D(l.Name+"."+f, sizes[0], sizes[1], 1, dist))
-			}
-		} else {
-			h.rows, h.cols = sizes[0], 1
-			for _, f := range decl.Fields {
-				h.a1 = append(h.a1, m.NewArray1D(l.Name+"."+f, sizes[0], 1, false))
+		for _, f := range decl.Fields {
+			if decl.Dims == 2 {
+				g := m.NewGrid2D(l.Name+"."+f, sizes[0], sizes[1], 1, dist)
+				h.grid = cmp.Or(h.grid, g)
+				h.planes = append(h.planes, plane{g.R.Base(), sizes[0], sizes[1]})
+			} else {
+				arr := m.NewArray1D(l.Name+"."+f, sizes[0], 1, false)
+				h.arr = cmp.Or(h.arr, arr)
+				h.planes = append(h.planes, plane{arr.R.Base(), sizes[0], 1})
 			}
 		}
 		aggs[l.Name] = h
 	})
-	if allocErr != nil {
-		return nil, allocErr
+	if err != nil {
+		return nil, err
 	}
+	return aggs, nil
+}
 
-	// Map each statement to the directives that fire before it (hoisted
-	// directives sit on synthetic preheader nodes whose successor holds
-	// the loop statement).
+// directives maps each statement of main to the directives that fire
+// before it (hoisted directives sit on synthetic preheader nodes whose
+// successor holds the loop statement).
+func directives(a *compiler.Analysis) (map[lang.Stmt][]*compiler.Phase, error) {
 	dirBefore := map[lang.Stmt][]*compiler.Phase{}
 	for _, ph := range a.Phases {
 		n := a.Graph.Node(ph.DirectiveNode)
@@ -126,52 +205,7 @@ func Run(a *compiler.Analysis, opt Options) (*Result, error) {
 		}
 		dirBefore[stmt] = append(dirBefore[stmt], ph)
 	}
-	// Map call statements to their covering phase.
-	phaseOfStmt := map[lang.Stmt]*compiler.Phase{}
-	for _, cs := range a.Graph.Calls {
-		if ph := a.PhaseOf(cs); ph != nil {
-			phaseOfStmt[a.Graph.Node(cs.NodeID).Stmt] = ph
-		}
-	}
-
-	scalars := map[string]float64{}
-	var runErr error
-	err := m.Run(func(w *rt.Worker) {
-		ev := &evaluator{
-			a: a, m: m, w: w, opt: opt, aggs: aggs,
-			dirBefore: dirBefore, phaseOfStmt: phaseOfStmt,
-		}
-		env := newEnv(nil)
-		defer func() {
-			if r := recover(); r != nil {
-				if e, ok := r.(*evalError); ok {
-					if runErr == nil {
-						runErr = e.err
-					}
-					return
-				}
-				panic(r)
-			}
-		}()
-		ev.execBlock(a.Main.Body, env)
-		if w.ID == 0 {
-			for k, v := range env.vars {
-				scalars[k] = v
-			}
-		}
-	})
-	if err != nil {
-		return nil, err
-	}
-	if runErr != nil {
-		return nil, runErr
-	}
-	return &Result{
-		Machine:   m,
-		Breakdown: m.Breakdown(),
-		Counters:  m.Counters(),
-		Scalars:   scalars,
-	}, nil
+	return dirBefore, nil
 }
 
 // collectAggLets visits aggregate-instantiating lets anywhere in main.
@@ -218,458 +252,62 @@ func constEval(e lang.Expr) (float64, bool) {
 	return 0, false
 }
 
+// evalError carries a run error out of the executing code as a panic;
+// catch turns it back into an error.
 type evalError struct{ err error }
 
-type env struct {
-	vars   map[string]float64
-	parent *env
-}
-
-func newEnv(parent *env) *env {
-	return &env{vars: map[string]float64{}, parent: parent}
-}
-
-func (e *env) lookup(name string) (float64, bool) {
-	for s := e; s != nil; s = s.parent {
-		if v, ok := s.vars[name]; ok {
-			return v, true
-		}
-	}
-	return 0, false
-}
-
-func (e *env) assign(name string, v float64) bool {
-	for s := e; s != nil; s = s.parent {
-		if _, ok := s.vars[name]; ok {
-			s.vars[name] = v
-			return true
-		}
-	}
-	return false
-}
-
-type evaluator struct {
-	a           *compiler.Analysis
-	m           *rt.Machine
-	w           *rt.Worker
-	opt         Options
-	aggs        map[string]*aggHandle
-	dirBefore   map[lang.Stmt][]*compiler.Phase
-	phaseOfStmt map[lang.Stmt]*compiler.Phase
-}
-
-func (ev *evaluator) fail(format string, args ...any) {
+func fail(format string, args ...any) {
 	panic(&evalError{fmt.Errorf("interp: "+format, args...)})
 }
 
-// execBlock runs main's sequential statements (SPMD on every worker).
-func (ev *evaluator) execBlock(b *lang.Block, e *env) {
-	for _, s := range b.Stmts {
-		for _, ph := range ev.dirBefore[s] {
-			ev.w.Directive(ph.ID)
-		}
-		ev.execStmt(s, e)
-	}
-}
-
-func (ev *evaluator) execStmt(s lang.Stmt, e *env) {
-	switch v := s.(type) {
-	case *lang.LetStmt:
-		if v.AggType != "" {
-			return // bound at allocation
-		}
-		e.vars[v.Name] = ev.evalSeq(v.Value, e)
-	case *lang.AssignStmt:
-		tgt, ok := v.Target.(*lang.VarRef)
+// catch, deferred, records the first run error in *err and lets every
+// other panic through.
+func catch(err *error) {
+	if r := recover(); r != nil {
+		e, ok := r.(*evalError)
 		if !ok {
-			ev.fail("main may not write aggregate elements directly")
+			panic(r)
 		}
-		val := ev.evalSeq(v.Value, e)
-		if !e.assign(tgt.Name, val) {
-			ev.fail("assignment to undeclared variable %q", tgt.Name)
+		if *err == nil {
+			*err = e.err
 		}
-	case *lang.IfStmt:
-		if ev.evalSeq(v.Cond, e) != 0 {
-			ev.execBlock(v.Then, newEnv(e))
-		} else if v.Else != nil {
-			ev.execBlock(v.Else, newEnv(e))
-		}
-	case *lang.ForStmt:
-		from := int(ev.evalSeq(v.From, e))
-		to := int(ev.evalSeq(v.To, e))
-		le := newEnv(e)
-		for i := from; i < to; i++ {
-			le.vars[v.Var] = float64(i)
-			ev.execBlock(v.Body, le)
-		}
-	case *lang.ExprStmt:
-		if call, ok := v.X.(*lang.CallExpr); ok {
-			ev.execCall(s, call, e)
-			return
-		}
-		ev.evalSeq(v.X, e)
-	case *lang.ReturnStmt:
-		// main-level return: stop executing (simplified).
-		ev.fail("return in main is not supported")
-	default:
-		ev.fail("unsupported statement %T", s)
 	}
 }
 
-// execCall runs a parallel function invocation as a data-parallel step.
-func (ev *evaluator) execCall(stmt lang.Stmt, call *lang.CallExpr, e *env) {
-	f := ev.a.Prog.Func(call.Callee)
-	if f == nil || !f.Parallel {
-		ev.fail("call to non-parallel function %q in main", call.Callee)
+// reduce computes a language-level reduction over one field of an
+// aggregate: each worker folds its own elements locally, then a machine
+// reduction combines the partials (outside the coherence protocol, paper
+// §1).
+func reduce(w *rt.Worker, h *aggHandle, field int, op lang.Kind, costOp sim.Time) float64 {
+	if op == lang.Star {
+		// The machine reduces sums and maxima only; a product via a sum of
+		// logarithms would lose sign and precision.
+		fail("product reductions are not supported")
 	}
-	// Bind arguments.
-	args := make([]any, len(call.Args))
-	for i, arg := range call.Args {
-		p := f.Params[i]
-		if p.Type == "float" || p.Type == "int" {
-			args[i] = ev.evalSeq(arg, e)
-			continue
-		}
-		vr, ok := arg.(*lang.VarRef)
-		if !ok {
-			ev.fail("aggregate argument %d of %s must be a variable", i, call.Callee)
-		}
-		h := ev.aggs[vr.Name]
-		if h == nil {
-			ev.fail("unknown aggregate %q", vr.Name)
-		}
-		if h.decl.Name != p.Type {
-			ev.fail("aggregate %q has type %s, want %s", vr.Name, h.decl.Name, p.Type)
-		}
-		args[i] = h
-	}
-	par := f.ParallelParam()
-	parIdx := -1
-	for i, p := range f.Params {
-		if p == par {
-			parIdx = i
-		}
-	}
-	ph := ev.aggs[call.Args[parIdx].(*lang.VarRef).Name]
-
-	ev.w.ParallelStep(func() {
-		w := ev.w
-		runElem := func(i, j int) {
-			fe := &frameEnv{f: f, args: args, i: i, j: j}
-			ops := 0
-			ev.execParBlock(f.Body, fe, newEnv(nil), &ops)
-			w.Compute(sim.Time(ops) * ev.opt.CostOp)
-		}
-		if ph.g2 != nil {
-			if ph.g2[0].Dist == rt.Tiled {
-				rlo, rhi, clo, chi := ph.g2[0].MyTile(w)
-				for i := rlo; i < rhi; i++ {
-					for j := clo; j < chi; j++ {
-						runElem(i, j)
-					}
-				}
-			} else {
-				lo, hi := ph.g2[0].MyRows(w)
-				for i := lo; i < hi; i++ {
-					for j := 0; j < ph.cols; j++ {
-						runElem(i, j)
-					}
-				}
-			}
-		} else {
-			lo, hi := ph.a1[0].MyRange(w)
-			for i := lo; i < hi; i++ {
-				runElem(i, 0)
-			}
-		}
-	})
-}
-
-// frameEnv is a parallel invocation's parameter binding plus element
-// position.
-type frameEnv struct {
-	f    *lang.FuncDecl
-	args []any
-	i, j int
-}
-
-func (fe *frameEnv) param(name string) (any, bool) {
-	for k, p := range fe.f.Params {
-		if p.Name == name {
-			return fe.args[k], true
-		}
-	}
-	return nil, false
-}
-
-func (ev *evaluator) execParBlock(b *lang.Block, fe *frameEnv, e *env, ops *int) (returned bool) {
-	for _, s := range b.Stmts {
-		switch v := s.(type) {
-		case *lang.LetStmt:
-			if v.AggType != "" {
-				ev.fail("aggregate instantiation inside parallel function")
-			}
-			e.vars[v.Name] = ev.evalPar(v.Value, fe, e, ops)
-		case *lang.AssignStmt:
-			val := ev.evalPar(v.Value, fe, e, ops)
-			switch tgt := v.Target.(type) {
-			case *lang.VarRef:
-				if !e.assign(tgt.Name, val) {
-					ev.fail("assignment to undeclared variable %q", tgt.Name)
-				}
-			case *lang.FieldAccess:
-				ev.writeField(tgt, val, fe, e, ops)
-			}
-		case *lang.IfStmt:
-			if ev.evalPar(v.Cond, fe, e, ops) != 0 {
-				if ev.execParBlock(v.Then, fe, newEnv(e), ops) {
-					return true
-				}
-			} else if v.Else != nil {
-				if ev.execParBlock(v.Else, fe, newEnv(e), ops) {
-					return true
-				}
-			}
-		case *lang.ForStmt:
-			from := int(ev.evalPar(v.From, fe, e, ops))
-			to := int(ev.evalPar(v.To, fe, e, ops))
-			le := newEnv(e)
-			for i := from; i < to; i++ {
-				le.vars[v.Var] = float64(i)
-				if ev.execParBlock(v.Body, fe, le, ops) {
-					return true
-				}
-			}
-		case *lang.ExprStmt:
-			ev.evalPar(v.X, fe, e, ops)
-		case *lang.ReturnStmt:
-			return true
-		}
-	}
-	return false
-}
-
-// resolveField computes the target element of a field access within a
-// parallel invocation.
-func (ev *evaluator) resolveField(fa *lang.FieldAccess, fe *frameEnv, e *env, ops *int) (h *aggHandle, i, j, field int) {
-	v, ok := fe.param(fa.Base)
-	if !ok {
-		ev.fail("unknown aggregate %q in %s", fa.Base, fe.f.Name)
-	}
-	h, ok = v.(*aggHandle)
-	if !ok {
-		ev.fail("%q is not an aggregate", fa.Base)
-	}
-	field = h.decl.FieldIndex(fa.Field)
-	if field < 0 {
-		ev.fail("aggregate %s has no field %q", h.decl.Name, fa.Field)
-	}
-	if fa.Index == nil {
-		return h, fe.i, fe.j, field
-	}
-	i = int(ev.evalPar(fa.Index[0], fe, e, ops))
-	if len(fa.Index) > 1 {
-		j = int(ev.evalPar(fa.Index[1], fe, e, ops))
-	}
-	return h, i, j, field
-}
-
-func (ev *evaluator) writeField(fa *lang.FieldAccess, val float64, fe *frameEnv, e *env, ops *int) {
-	h, i, j, field := ev.resolveField(fa, fe, e, ops)
-	*ops += 2
-	if a, ok := h.at(i, j, field); ok {
-		ev.w.WriteF64(a, val)
-	} // out-of-range writes are dropped (boundary convention)
-}
-
-func (ev *evaluator) evalPar(x lang.Expr, fe *frameEnv, e *env, ops *int) float64 {
-	*ops++
-	switch v := x.(type) {
-	case *lang.NumberLit:
-		return v.Value
-	case *lang.PosRef:
-		if v.Dim == 0 {
-			return float64(fe.i)
-		}
-		return float64(fe.j)
-	case *lang.VarRef:
-		if val, ok := e.lookup(v.Name); ok {
-			return val
-		}
-		if pv, ok := fe.param(v.Name); ok {
-			if f, ok := pv.(float64); ok {
-				return f
-			}
-			ev.fail("aggregate %q used as scalar", v.Name)
-		}
-		ev.fail("unknown variable %q", v.Name)
-	case *lang.FieldAccess:
-		h, i, j, field := ev.resolveField(v, fe, e, ops)
-		if a, ok := h.at(i, j, field); ok {
-			return ev.w.ReadF64(a)
-		}
-		return 0 // boundary value
-	case *lang.BinaryExpr:
-		return applyBinary(v.Op, ev.evalPar(v.L, fe, e, ops), ev.evalPar(v.R, fe, e, ops))
-	case *lang.UnaryExpr:
-		xv := ev.evalPar(v.X, fe, e, ops)
-		if v.Op == lang.Minus {
-			return -xv
-		}
-		return bool2f(xv == 0)
-	case *lang.CallExpr:
-		return ev.intrinsic(v, func(x lang.Expr) float64 { return ev.evalPar(x, fe, e, ops) })
-	case *lang.ReduceExpr:
-		ev.fail("reduce inside parallel functions is not supported")
-	}
-	return 0
-}
-
-// intrinsic evaluates the built-in math functions (the numeric intrinsics
-// C** inherited from C++).
-func (ev *evaluator) intrinsic(c *lang.CallExpr, eval func(lang.Expr) float64) float64 {
-	arity := func(n int) {
-		if len(c.Args) != n {
-			ev.fail("%s expects %d argument(s), got %d", c.Callee, n, len(c.Args))
-		}
-	}
-	switch c.Callee {
-	case "sqrt":
-		arity(1)
-		return math.Sqrt(eval(c.Args[0]))
-	case "abs":
-		arity(1)
-		return math.Abs(eval(c.Args[0]))
-	case "floor":
-		arity(1)
-		return math.Floor(eval(c.Args[0]))
-	case "min":
-		arity(2)
-		return math.Min(eval(c.Args[0]), eval(c.Args[1]))
-	case "max":
-		arity(2)
-		return math.Max(eval(c.Args[0]), eval(c.Args[1]))
-	default:
-		ev.fail("call to %q: only intrinsics (sqrt, abs, floor, min, max) may be called in expressions", c.Callee)
-		return 0
-	}
-}
-
-// evalSeq evaluates main's sequential expressions (scalar-only, except
-// reductions which synchronize all workers).
-func (ev *evaluator) evalSeq(x lang.Expr, e *env) float64 {
-	switch v := x.(type) {
-	case *lang.NumberLit:
-		return v.Value
-	case *lang.VarRef:
-		if val, ok := e.lookup(v.Name); ok {
-			return val
-		}
-		ev.fail("unknown variable %q in main", v.Name)
-	case *lang.BinaryExpr:
-		return applyBinary(v.Op, ev.evalSeq(v.L, e), ev.evalSeq(v.R, e))
-	case *lang.UnaryExpr:
-		xv := ev.evalSeq(v.X, e)
-		if v.Op == lang.Minus {
-			return -xv
-		}
-		return bool2f(xv == 0)
-	case *lang.ReduceExpr:
-		return ev.evalReduce(v)
-	case *lang.PosRef:
-		ev.fail("#%d outside a parallel function", v.Dim)
-	case *lang.FieldAccess:
-		ev.fail("main may not read aggregate elements directly; use reduce")
-	case *lang.CallExpr:
-		return ev.intrinsic(v, func(x lang.Expr) float64 { return ev.evalSeq(x, e) })
-	}
-	return 0
-}
-
-// evalReduce computes a language-level reduction over an aggregate field:
-// each worker folds its own elements locally, then a machine reduction
-// combines the partials (outside the coherence protocol, paper §1).
-func (ev *evaluator) evalReduce(r *lang.ReduceExpr) float64 {
-	h := ev.aggs[r.Base]
-	if h == nil {
-		ev.fail("reduce over unknown aggregate %q", r.Base)
-	}
-	field := h.decl.FieldIndex(r.Field)
-	if field < 0 {
-		ev.fail("aggregate %s has no field %q", h.decl.Name, r.Field)
-	}
-	w := ev.w
 	var acc float64
-	first := true
-	fold := func(v float64) {
-		switch r.Op {
-		case lang.Plus:
-			acc += v
-		case lang.Star:
-			if first {
-				acc = v
-			} else {
-				acc *= v
-			}
-		case lang.Lt: // min
-			if first || v < acc {
-				acc = v
-			}
-		case lang.Gt: // max
-			if first || v > acc {
+	rlo, rhi, clo, chi := h.owned(w)
+	p := &h.planes[field]
+	for i := rlo; i < rhi; i++ {
+		for j := clo; j < chi; j++ {
+			a, _ := p.addr(i, j)
+			v := w.ReadF64(a)
+			first := i == rlo && j == clo
+			switch {
+			case op == lang.Plus:
+				acc += v
+			case op == lang.Lt && (first || v < acc), op == lang.Gt && (first || v > acc):
 				acc = v
 			}
 		}
-		first = false
 	}
-	if r.Op == lang.Star {
-		acc = 1
-	}
-	count := 0
-	if h.g2 != nil {
-		if h.g2[field].Dist == rt.Tiled {
-			rlo, rhi, clo, chi := h.g2[field].MyTile(w)
-			for i := rlo; i < rhi; i++ {
-				for j := clo; j < chi; j++ {
-					a, _ := h.at(i, j, field)
-					fold(w.ReadF64(a))
-					count++
-				}
-			}
-		} else {
-			lo, hi := h.g2[field].MyRows(w)
-			for i := lo; i < hi; i++ {
-				for j := 0; j < h.cols; j++ {
-					a, _ := h.at(i, j, field)
-					fold(w.ReadF64(a))
-					count++
-				}
-			}
-		}
-	} else {
-		lo, hi := h.a1[field].MyRange(w)
-		for i := lo; i < hi; i++ {
-			a, _ := h.at(i, 0, field)
-			fold(w.ReadF64(a))
-			count++
-		}
-	}
-	w.Compute(sim.Time(count) * ev.opt.CostOp)
-	switch r.Op {
+	w.Compute(sim.Time((rhi-rlo)*(chi-clo)) * costOp)
+	switch op {
 	case lang.Plus:
 		return w.ReduceSum(acc)
 	case lang.Gt:
 		return w.ReduceMax(acc)
-	case lang.Lt:
-		return -w.ReduceMax(-acc)
-	default: // product via sum of logs would lose precision; use two maxes
-		// Products are rare; emulate with a sum-reduction of logs only
-		// for positive values is lossy, so just reduce via sum of
-		// pair-exchange: fall back to ReduceSum of log is unacceptable —
-		// reduce by max twice is wrong; simplest: error.
-		ev.fail("product reductions are not supported")
-		return 0
 	}
+	return -w.ReduceMax(-acc) // min
 }
 
 func applyBinary(op lang.Kind, l, r float64) float64 {
@@ -683,6 +321,9 @@ func applyBinary(op lang.Kind, l, r float64) float64 {
 	case lang.Slash:
 		return l / r
 	case lang.Percent:
+		if int64(r) == 0 {
+			fail("modulo by zero")
+		}
 		return float64(int64(l) % int64(r))
 	case lang.Lt:
 		return bool2f(l < r)

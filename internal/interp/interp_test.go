@@ -44,6 +44,93 @@ func main() {
 }
 `
 
+const hoistedSrc = `
+aggregate A[] { float x; float s; }
+
+parallel func scatter(parallel g: A) {
+  g.s = g[#0-1].x + g[#0+1].x;
+}
+
+parallel func scale(parallel g: A) {
+  g.x = g.x * 0.5 + g.s * 0.25;
+}
+
+func main() {
+  let g = A[32];
+  for it in 0..4 {
+    scatter(g);
+    for k in 0..3 {
+      scale(g);
+    }
+  }
+  let total = reduce(+, g.x);
+}
+`
+
+var interpErrorCases = []string{
+	// Non-constant aggregate size.
+	`aggregate A[] { float x; }
+		 parallel func f(parallel g: A) { g.x = 1; }
+		 func main() { let n = 4; let g = A[n]; f(g); }`,
+	// Valid: scalar reassignment in main.
+	`aggregate A[] { float x; }
+		 parallel func f(parallel g: A) { g.x = 1; }
+		 func main() { let g = A[4]; f(g); let y = 1; y = y + 1; }`,
+}
+
+const oneDSrc = `
+aggregate V[] { float x; float y; }
+parallel func initv(parallel g: V) { g.x = #0; }
+parallel func shift(parallel g: V) { g.y = g[#0+1].x; }
+func main() {
+  let g = V[64];
+  initv(g);
+  shift(g);
+  let total = reduce(+, g.y);
+}
+`
+
+func tiledSrc(dist string) string {
+	return `
+aggregate Cell[,] ` + dist + ` {
+  float v;
+  float nv;
+}
+parallel func seed(parallel g: Cell) {
+  g.v = #0 * 10 + #1;
+}
+parallel func sweep(parallel g: Cell) {
+  g.nv = g[#0-1, #1].v + g[#0+1, #1].v + g[#0, #1-1].v + g[#0, #1+1].v;
+}
+func main() {
+  let g = Cell[16, 16];
+  seed(g);
+  for it in 0..3 {
+    sweep(g);
+  }
+  let total = reduce(+, g.nv);
+}
+`
+}
+
+const intrinsicsSrc = `
+aggregate A[] { float x; }
+parallel func f(parallel g: A) {
+  g.x = sqrt(16) + abs(0 - 2) + min(3, 5) + max(3, 5) + floor(2.9);
+}
+func main() {
+  let g = A[4];
+  f(g);
+  let total = reduce(+, g.x);
+}
+`
+
+const unknownCallSrc = `
+aggregate A[] { float x; }
+parallel func f(parallel g: A) { g.x = mystery(1); }
+func main() { let g = A[4]; f(g); }
+`
+
 func analyze(t *testing.T, src string) *compiler.Analysis {
 	t.Helper()
 	prog, err := lang.Parse(src)
@@ -136,29 +223,7 @@ func TestJacobiProtocolEquivalence(t *testing.T) {
 func TestHoistedDirectiveProgram(t *testing.T) {
 	// A home-only loop between unstructured phases: the directive is
 	// hoisted; the program must still run correctly end to end.
-	src := `
-aggregate A[] { float x; float s; }
-
-parallel func scatter(parallel g: A) {
-  g.s = g[#0-1].x + g[#0+1].x;
-}
-
-parallel func scale(parallel g: A) {
-  g.x = g.x * 0.5 + g.s * 0.25;
-}
-
-func main() {
-  let g = A[32];
-  for it in 0..4 {
-    scatter(g);
-    for k in 0..3 {
-      scale(g);
-    }
-  }
-  let total = reduce(+, g.x);
-}
-`
-	a := analyze(t, src)
+	a := analyze(t, hoistedSrc)
 	hoisted := false
 	for _, ph := range a.Phases {
 		if ph.Hoisted {
@@ -172,7 +237,7 @@ func main() {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a2 := analyze(t, src)
+	a2 := analyze(t, hoistedSrc)
 	rp, err := Run(a2, Options{Machine: rt.Config{Nodes: 4, BlockSize: 32, Protocol: rt.ProtoPredictive}})
 	if err != nil {
 		t.Fatal(err)
@@ -191,23 +256,13 @@ func TestInterpDeterministic(t *testing.T) {
 }
 
 func TestInterpErrors(t *testing.T) {
-	cases := []string{
-		// Non-constant aggregate size.
-		`aggregate A[] { float x; }
-		 parallel func f(parallel g: A) { g.x = 1; }
-		 func main() { let n = 4; let g = A[n]; f(g); }`,
-		// Main reading aggregate elements directly.
-		`aggregate A[] { float x; }
-		 parallel func f(parallel g: A) { g.x = 1; }
-		 func main() { let g = A[4]; f(g); let y = 1; y = y + 1; }`,
-	}
 	// Only the first case must fail; the second is valid and checks that
 	// scalar reassignment works.
-	a0 := analyze(t, cases[0])
+	a0 := analyze(t, interpErrorCases[0])
 	if _, err := Run(a0, Options{Machine: rt.Config{Nodes: 2, BlockSize: 32}}); err == nil {
 		t.Fatal("expected error for non-constant size")
 	}
-	a1 := analyze(t, cases[1])
+	a1 := analyze(t, interpErrorCases[1])
 	r, err := Run(a1, Options{Machine: rt.Config{Nodes: 2, BlockSize: 32}})
 	if err != nil {
 		t.Fatal(err)
@@ -218,18 +273,7 @@ func TestInterpErrors(t *testing.T) {
 }
 
 func Test1DAggregates(t *testing.T) {
-	src := `
-aggregate V[] { float x; float y; }
-parallel func initv(parallel g: V) { g.x = #0; }
-parallel func shift(parallel g: V) { g.y = g[#0+1].x; }
-func main() {
-  let g = V[64];
-  initv(g);
-  shift(g);
-  let total = reduce(+, g.y);
-}
-`
-	a := analyze(t, src)
+	a := analyze(t, oneDSrc)
 	r, err := Run(a, Options{Machine: rt.Config{Nodes: 4, BlockSize: 32}})
 	if err != nil {
 		t.Fatal(err)
@@ -244,31 +288,9 @@ func main() {
 func TestTiledDistribution(t *testing.T) {
 	// The same program under rowblock and tiled distributions must give
 	// identical results; only the communication pattern differs.
-	mk := func(dist string) string {
-		return `
-aggregate Cell[,] ` + dist + ` {
-  float v;
-  float nv;
-}
-parallel func seed(parallel g: Cell) {
-  g.v = #0 * 10 + #1;
-}
-parallel func sweep(parallel g: Cell) {
-  g.nv = g[#0-1, #1].v + g[#0+1, #1].v + g[#0, #1-1].v + g[#0, #1+1].v;
-}
-func main() {
-  let g = Cell[16, 16];
-  seed(g);
-  for it in 0..3 {
-    sweep(g);
-  }
-  let total = reduce(+, g.nv);
-}
-`
-	}
 	results := map[string]float64{}
 	for _, dist := range []string{"rowblock", "tiled"} {
-		a := analyze(t, mk(dist))
+		a := analyze(t, tiledSrc(dist))
 		r, err := Run(a, Options{Machine: rt.Config{Nodes: 4, BlockSize: 32}})
 		if err != nil {
 			t.Fatal(err)
@@ -320,18 +342,7 @@ func TestNsquaredKernel(t *testing.T) {
 }
 
 func TestIntrinsics(t *testing.T) {
-	src := `
-aggregate A[] { float x; }
-parallel func f(parallel g: A) {
-  g.x = sqrt(16) + abs(0 - 2) + min(3, 5) + max(3, 5) + floor(2.9);
-}
-func main() {
-  let g = A[4];
-  f(g);
-  let total = reduce(+, g.x);
-}
-`
-	a := analyze(t, src)
+	a := analyze(t, intrinsicsSrc)
 	r, err := Run(a, Options{Machine: rt.Config{Nodes: 2, BlockSize: 32}})
 	if err != nil {
 		t.Fatal(err)
@@ -343,12 +354,7 @@ func main() {
 }
 
 func TestUnknownCallRejected(t *testing.T) {
-	src := `
-aggregate A[] { float x; }
-parallel func f(parallel g: A) { g.x = mystery(1); }
-func main() { let g = A[4]; f(g); }
-`
-	a := analyze(t, src)
+	a := analyze(t, unknownCallSrc)
 	if _, err := Run(a, Options{Machine: rt.Config{Nodes: 2, BlockSize: 32}}); err == nil {
 		t.Fatal("unknown intrinsic accepted")
 	}
