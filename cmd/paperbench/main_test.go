@@ -54,8 +54,9 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		}
 	}
 	// The machine shape is not paperbench's to set, and the retired
-	// scheduler flag is gone: the flag package rejects both.
-	for _, arg := range []string{"-protocol=stache", "-block=64", "-sched=heap"} {
+	// scheduler and kernel-benchmark flags are gone: the flag package
+	// rejects them all.
+	for _, arg := range []string{"-protocol=stache", "-block=64", "-sched=heap", "-kernel-bench=k.json", "-kernel-speedup"} {
 		if code, _, stderr := run(t, arg); code != 2 || !strings.Contains(stderr, "flag provided but not defined") {
 			t.Errorf("%s: exit %d, stderr %q; want exit 2 (undefined flag)", arg, code, stderr)
 		}

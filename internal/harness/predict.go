@@ -2,12 +2,10 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"presto/internal/apps/adaptive"
 	"presto/internal/apps/barnes"
 	"presto/internal/apps/water"
-	"presto/internal/network"
 	"presto/internal/predict"
 	"presto/internal/rt"
 )
@@ -263,87 +261,6 @@ func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
 		table.Add(t.experiment, t.label, t.bs, pred.ElapsedNS, int64(bd.Elapsed))
 	}
 	return table, nil
-}
-
-// SweepBench is the predictor's headline performance artifact: the wall
-// clock of answering a large parameter sweep analytically versus
-// simulating every configuration (BENCH_kernel.json predict_sweep).
-type SweepBench struct {
-	// Configs is the number of distinct (block size, network, node count)
-	// targets predicted.
-	Configs int `json:"configs"`
-	// CalibrationMS is the one-time cost: the recorded calibration
-	// simulation plus trace distillation.
-	CalibrationMS float64 `json:"calibration_ms"`
-	// PredictTotalMS is the wall clock of predicting every target.
-	PredictTotalMS float64 `json:"predict_total_ms"`
-	// SimPerConfigMS is one measured full simulation of an extrapolated
-	// configuration — the per-config price the predictor avoids.
-	SimPerConfigMS float64 `json:"sim_per_config_ms"`
-	// SweepSpeedup is (Configs × SimPerConfigMS) / PredictTotalMS: how
-	// much faster the sweep itself runs once calibrated.
-	SweepSpeedup float64 `json:"sweep_speedup"`
-	// AmortizedSpeedup charges the calibration to the sweep:
-	// (Configs × SimPerConfigMS) / (CalibrationMS + PredictTotalMS).
-	AmortizedSpeedup float64 `json:"amortized_speedup"`
-}
-
-// PredictSweepBench calibrates once (Adaptive, stache) and times a
-// configs-point sweep over block sizes × network presets × node counts,
-// against the measured cost of one full simulation per configuration.
-func PredictSweepBench(o Options, configs int) (*SweepBench, error) {
-	o = o.withDefaults()
-	p := newPredictor()
-	start := time.Now()
-	cal, err := p.adaptive(o, rt.ProtoStache)
-	if err != nil {
-		return nil, err
-	}
-	calMS := float64(time.Since(start).Nanoseconds()) / 1e6
-
-	start = time.Now()
-	if _, err := adaptive.Run(adaptiveCfg(o, rt.ProtoStache, 2*predictCalBS)); err != nil {
-		return nil, err
-	}
-	simMS := float64(time.Since(start).Nanoseconds()) / 1e6
-
-	var nets []*network.Params
-	for _, name := range []string{"cm5", "now", "hwdsm", "cluster:4x8"} {
-		np, err := network.Preset(name)
-		if err != nil {
-			return nil, err
-		}
-		nets = append(nets, np)
-	}
-
-	done := 0
-	start = time.Now()
-sweep:
-	for n := 2; ; n++ {
-		for _, np := range nets {
-			for k := 0; k <= predict.MaxShift; k++ {
-				if done >= configs {
-					break sweep
-				}
-				t := predict.Target{BlockSize: predictCalBS << k, Net: np, Nodes: n}
-				if _, err := cal.Predict(t); err != nil {
-					return nil, fmt.Errorf("sweep config %+v: %w", t, err)
-				}
-				done++
-			}
-		}
-	}
-	predMS := float64(time.Since(start).Nanoseconds()) / 1e6
-
-	total := float64(configs) * simMS
-	return &SweepBench{
-		Configs:          configs,
-		CalibrationMS:    calMS,
-		PredictTotalMS:   predMS,
-		SimPerConfigMS:   simMS,
-		SweepSpeedup:     total / predMS,
-		AmortizedSpeedup: total / (calMS + predMS),
-	}, nil
 }
 
 // PredictValidation builds the combined error table the CI

@@ -1,6 +1,6 @@
 // Protocol-path benchmarks: the block-state hot paths of the dense paged
 // storage layer (internal/blockstate) — directory churn, pre-send walk,
-// schedule build, deferral scan. The map-reference backend is a test
+// deferral scan. The map-reference backend is a test
 // oracle and is not timed.
 package kernelbench
 
@@ -18,7 +18,6 @@ func protocolCases() []Case {
 	return []Case{
 		{"dir_churn_dense", benchDirChurn, true},
 		{"presend_walk_repeat", benchPresendWalkRepeat, true},
-		{"sched_build512_dense", benchSchedBuild, false},
 		{"stache_deferral_scan_dense", benchDeferralScan, true},
 	}
 }
@@ -88,28 +87,6 @@ func benchPresendWalkRepeat(b *testing.B) {
 		}
 		if live != benchBlocks {
 			b.Fatal(live)
-		}
-	}
-}
-
-// benchSchedBuild measures building one 512-block phase schedule from
-// scratch — the first-iteration fault storm — plus one Entries() walk.
-// One op is one full build.
-func benchSchedBuild(b *testing.B) {
-	b.ReportAllocs()
-	as, r := benchAS()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := schedule.NewPhase(as, 1, blockstate.Dense)
-		for j := int64(0); j < benchBlocks; j++ {
-			if j%3 == 0 {
-				p.RecordWrite(r.BlockAt(j), int(j)%benchNodes)
-			} else {
-				p.RecordRead(r.BlockAt(j), int(j)%benchNodes)
-			}
-		}
-		if len(p.Entries()) != benchBlocks {
-			b.Fatal("short schedule")
 		}
 	}
 }

@@ -227,8 +227,7 @@ func TestModeClassificationProperty(t *testing.T) {
 
 // TestEntriesRepeatWalkZeroAlloc is the regression guard for the cached
 // pre-send walk: once the schedule is stable, repeated Entries() calls must
-// not allocate. This is the property BenchmarkEntriesRepeatWalk measures
-// and the CI bench-regression job gates on.
+// not allocate. This is the property BenchmarkEntriesRepeatWalk measures.
 func TestEntriesRepeatWalkZeroAlloc(t *testing.T) {
 	p := newPhase(1, blockstate.Dense)
 	for i := 0; i < 512; i++ {
