@@ -27,7 +27,8 @@
 // against the run: a second, recorded simulation at the predictor's 32B
 // calibration block size is distilled into a calibration, the requested
 // block size is predicted analytically, and the predicted-vs-simulated
-// error table prints after the breakdown (-block must be 32<<k, k<=6).
+// error table prints after the breakdown (-block must be 32<<k, k<=6, and
+// -nodes at most 64).
 // -trace-out streams the protocol event trace to a file: -trace-format
 // chrome (default) produces a Chrome trace_event file for
 // chrome://tracing or https://ui.perfetto.dev; jsonl produces one JSON
@@ -89,6 +90,10 @@ func main() {
 	mc, err := machine()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmrun: %v\n", err)
+		os.Exit(2)
+	}
+	if *predictFlag && mc.Nodes > predict.MaxNodes {
+		fmt.Fprintf(os.Stderr, "dsmrun: -predict calibrates at most %d nodes, not %d\n", predict.MaxNodes, mc.Nodes)
 		os.Exit(2)
 	}
 

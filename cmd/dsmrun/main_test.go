@@ -51,6 +51,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		"-net infiniband":                      `unknown preset "infiniband"`,
 		"-nodes 8 -net cluster:4x4":            "describes 16 nodes",
 		"-engine parallel -nodes 4 -workers 9": "4 lanes",
+		"-predict -nodes 96":                   "at most 64 nodes",
 	} {
 		code, _, stderr := run(t, "-app water "+args)
 		if code != 2 || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {

@@ -14,6 +14,9 @@ import (
 // with rt.Config.Profile and rt.Config.Record both enabled — into the
 // analytical model's tables. The machine must have finished its Run.
 func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
+	if m.Cfg.Nodes > MaxNodes {
+		return nil, fmt.Errorf("predict: calibration at %d nodes exceeds the %d-node bound", m.Cfg.Nodes, MaxNodes)
+	}
 	if !m.Cfg.Profile || !m.Cfg.Record {
 		return nil, fmt.Errorf("predict: calibration needs rt.Config.Profile and rt.Config.Record enabled")
 	}
@@ -93,7 +96,6 @@ func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
 			if nc.busy0 > ph.busyCrit0 {
 				ph.busyCrit0 = nc.busy0
 			}
-			ph.sumBusy0 += nc.busy0
 		}
 		c.sumSpan0 += ph.span0
 	}
@@ -101,25 +103,40 @@ func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
 	if err := c.buildShifts(m); err != nil {
 		return nil, err
 	}
+	return c, nil
+}
 
-	// Target-independent ratio denominators: the home-weighted per-fault
-	// latency and transit at the calibration point.
-	for pi := range c.phases {
-		for n := 0; n < n0; n++ {
-			nc := &c.phases[pi].nodes[n]
-			base := (pi*n0 + n) * n0
-			hist := c.shifts[0].faultHome[base : base+n0]
-			for h := 0; h < n0; h++ {
-				w := hist[h]
-				if w == 0 {
+// setHomes stores each shift's dense fault-by-home counts
+// ([shift][(phase*N0+n)*N0+h]) as the compressed rows Predict walks, and
+// derives the target-independent sums over them: each row's
+// calibration-network latency lamK0 and, at shift 0, each node's transit
+// denominator tau0. Every sum runs in ascending home order, the order
+// Predict's own sums use.
+func (c *Calibration) setHomes(faultHome [][]int64) {
+	n0 := c.Nodes
+	rows := len(c.phases) * n0
+	for k := range c.shifts {
+		sc := &c.shifts[k]
+		b1 := c.BlockSize << k
+		sc.rowAt = make([]int32, rows+1)
+		sc.lamK0 = make([]float64, rows)
+		for row := 0; row < rows; row++ {
+			n := row % n0
+			for h, v := range faultHome[k][row*n0 : (row+1)*n0] {
+				if v == 0 {
 					continue
 				}
-				nc.lambda0 += w * lambda(c.Net, b0, n, h)
-				nc.tau0 += w * tau(c.Net, b0, n, h)
+				w := float64(v)
+				sc.home = append(sc.home, int32(h))
+				sc.count = append(sc.count, w)
+				sc.lamK0[row] += w * lambda(c.Net, b1, n, h)
+				if k == 0 {
+					c.phases[row/n0].nodes[n].tau0 += w * tau(c.Net, b1, n, h)
+				}
 			}
+			sc.rowAt[row+1] = int32(len(sc.home))
 		}
 	}
-	return c, nil
 }
 
 // segAccess is one access of a node's barrier segment, in compressed
@@ -134,9 +151,8 @@ type segAccess struct {
 // nodeSeg is one node's trace slice between two barrier crossings (a
 // (phase, iteration) episode), with recorded stalls compressed out.
 type nodeSeg struct {
-	node    int32
-	firstAt int64 // recorded issue time of the first access
-	accs    []segAccess
+	node int32
+	accs []segAccess
 }
 
 // globalSeg groups the nodes' slices of one barrier segment. Segments
@@ -160,6 +176,37 @@ type blkState struct {
 	grace      uint64 // revoked holders still running on stale copies
 	subs       uint64 // historical readers (pre-send subscribers)
 	graceUntil int64
+}
+
+// mergeHeap orders a barrier segment's participants by the
+// reconstructed time of their next access, ties to the lower slot (and
+// so the lower node: a segment's slots ascend by node).
+type mergeHeap struct {
+	slots []int32 // binary min-heap of participant slots
+	at    []int64 // [slot] reconstructed time of the slot's next access
+}
+
+func (h *mergeHeap) less(i, j int) bool {
+	a, b := h.slots[i], h.slots[j]
+	return h.at[a] < h.at[b] || h.at[a] == h.at[b] && a < b
+}
+
+// down sifts slot i toward the leaves until the heap order holds below it.
+func (h *mergeHeap) down(i int) {
+	for {
+		c := 2*i + 1
+		if c >= len(h.slots) {
+			return
+		}
+		if c+1 < len(h.slots) && h.less(c+1, c) {
+			c++
+		}
+		if !h.less(c, i) {
+			return
+		}
+		h.slots[i], h.slots[c] = h.slots[c], h.slots[i]
+		i = c
+	}
 }
 
 // psTouch is one (block, node) pre-send arrival count within a phase.
@@ -230,7 +277,7 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 			if !ok {
 				pi = 0 // unprofiled phase: fold into (outside)
 			}
-			ns := nodeSeg{node: int32(n), firstAt: int64(accs[i].At)}
+			ns := nodeSeg{node: int32(n)}
 			ns.accs = make([]segAccess, j-i)
 			base := int64(accs[i].At) - int64(accs[i].StallCum)
 			for x := i; x < j; x++ {
@@ -282,6 +329,7 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 	clocks := make([]int64, n0)
 	idx := make([]int, n0)
 	stallAdj := make([]int64, n0)
+	merge := mergeHeap{at: make([]int64, n0)}
 	spanAcc := make([]int64, np)          // per phase: sum of segment spans
 	busyAcc := make([]int64, np*n0)       // per (phase,node): total busy
 	coarse := make([]uint32, len(blocks)) // unique block -> coarse index
@@ -346,27 +394,22 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 				}
 			}
 			prevStart = segStart
+			// Every stream's first access is at dt 0, so the slots in
+			// ascending order already form the heap.
+			merge.slots = merge.slots[:0]
 			for si := range gs.nodes {
 				idx[si], stallAdj[si] = 0, 0
+				merge.at[si] = segStart
+				merge.slots = append(merge.slots, int32(si))
 			}
 			written = written[:0]
 			// Merge the participants' compressed streams by reconstructed
 			// time: compute offsets plus the stalls replay has charged.
-			for {
-				best := -1
-				var bt int64
-				for si := range gs.nodes {
-					if idx[si] >= len(gs.nodes[si].accs) {
-						continue
-					}
-					t := segStart + gs.nodes[si].accs[idx[si]].dt + stallAdj[si]
-					if best == -1 || t < bt {
-						best, bt = si, t
-					}
-				}
-				if best == -1 {
-					break
-				}
+			// Only the node that just ran changes its stall, so only its
+			// key moves.
+			for len(merge.slots) > 0 {
+				best := int(merge.slots[0])
+				bt := merge.at[best]
 				ns := &gs.nodes[best]
 				a := &ns.accs[idx[best]]
 				idx[best]++
@@ -431,6 +474,13 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 						rInt[k]++
 					}
 				}
+				if idx[best] < len(ns.accs) {
+					merge.at[best] = segStart + ns.accs[idx[best]].dt + stallAdj[best]
+				} else {
+					merge.slots[0] = merge.slots[len(merge.slots)-1]
+					merge.slots = merge.slots[:len(merge.slots)-1]
+				}
+				merge.down(0)
 			}
 			// Predictive protocol: at the barrier, newly written blocks
 			// are pre-sent to their historical readers, whose next reads
@@ -479,16 +529,13 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 
 	c.coarsenPresends(m, phaseIdx, shift0, n0, &pInt)
 
+	c.setHomes(hInt)
 	for k := 0; k <= MaxShift; k++ {
 		sc := &c.shifts[k]
 		sc.faults = make([]float64, np*n0)
-		sc.faultHome = make([]float64, np*n0*n0)
 		sc.imb = imbF[k]
 		for i, v := range fInt[k] {
 			sc.faults[i] = float64(v)
-		}
-		for i, v := range hInt[k] {
-			sc.faultHome[i] = float64(v)
 		}
 		sc.reads = float64(rInt[k])
 		sc.writes = float64(wInt[k])

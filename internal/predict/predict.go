@@ -28,6 +28,11 @@ import (
 // size from the calibration size B0 up to B0<<MaxShift.
 const MaxShift = 6
 
+// MaxNodes bounds the calibration run's node count: the replay keeps
+// each block's sharer sets as 64-bit node masks. Targets may use any
+// node count.
+const MaxNodes = 64
+
 // Target names one configuration to predict. Zero fields mean "as
 // calibrated".
 type Target struct {
@@ -70,7 +75,6 @@ type nodeCal struct {
 	compute, transit, occupancy, service float64
 	barrier, stall, presend              float64
 	busy0                                float64 // bucket sum excluding barrier and idle
-	lambda0                              float64 // Σ_h hist0[h]·λ(cal net, B0, n, h)
 	tau0                                 float64 // Σ_h hist0[h]·τ(cal net, B0, n, h)
 }
 
@@ -82,20 +86,25 @@ type phaseCal struct {
 	name      string
 	span0     float64 // max over nodes of the phase's total time (incl idle)
 	busyCrit0 float64 // max over nodes of busy time
-	sumBusy0  float64 // Σ over nodes of busy time
 	nodes     []nodeCal
 }
 
 // shiftCal holds the conflict-aware fault and pre-send counts for one
 // block-size shift k (block size B0<<k), flattened for cache locality.
 type shiftCal struct {
-	faults    []float64 // [phase*N0+n] weighted fault count
-	faultHome []float64 // [(phase*N0+n)*N0+h] fault count served by home h
-	imb       []float64 // [phase] replayed imbalance slack (cal-net units)
-	stallq    []float64 // [phase*nodes+node] replayed stall incl. queuing
-	reads     float64   // machine-wide read faults
-	writes    float64   // machine-wide write faults
-	presends  float64   // machine-wide pre-send arrivals
+	faults []float64 // [phase*N0+n] weighted fault count
+	// Fault counts by serving home as compressed rows: row phase*N0+n
+	// holds its non-zero entries [rowAt[row], rowAt[row+1]) of home and
+	// count, in ascending home order.
+	rowAt    []int32
+	home     []int32
+	count    []float64
+	lamK0    []float64 // [phase*N0+n] Σ_h count·λ(cal net, B0<<k, n, h)
+	imb      []float64 // [phase] replayed imbalance slack (cal-net units)
+	stallq   []float64 // [phase*nodes+node] replayed stall incl. queuing
+	reads    float64   // machine-wide read faults
+	writes   float64   // machine-wide write faults
+	presends float64   // machine-wide pre-send arrivals
 }
 
 // Calibration is the distilled calibration run. Build one with
@@ -206,6 +215,12 @@ func (c *Calibration) predict(k int, net *network.Params, n1 int, out []PhaseFor
 	b1 := c.BlockSize << k
 	sc := &c.shifts[k]
 	s0 := &c.shifts[0]
+	var pos [MaxNodes]int // virtual node -> physical position
+	for i := 0; i < n0; i++ {
+		pos[i] = i * n1 / n0
+	}
+	// λ's target-independent hops; only the two transits vary per pair.
+	lamFixed := net.FaultDetect + net.SendCost(0) + 2*net.RecvOverhead + net.SendCost(b1)
 
 	// Machine-wide unit-cost ratios (target cost over calibration cost).
 	occR := ratio(float64(net.FaultDetect+net.SendCost(0)), float64(c.Net.FaultDetect+c.Net.SendCost(0)))
@@ -222,34 +237,31 @@ func (c *Calibration) predict(k int, net *network.Params, n1 int, out []PhaseFor
 		var phStallT, phStall0 float64
 		for n := 0; n < n0; n++ {
 			nc := &ph.nodes[n]
-			pn := n * n1 / n0 // virtual node's physical position
+			pn := pos[n]
 			// Home-weighted per-fault latency and transit numerators at
-			// the target shift's fault distribution, plus the same sum
-			// under the calibration network (phLamK0) to isolate the
-			// network's cost ratio from the fault-count change.
-			base := (pi*n0 + n) * n0
-			var lamT, tauT, lamK0 float64
-			hist := sc.faultHome[base : base+n0]
-			for h := 0; h < n0; h++ {
-				w := hist[h]
-				if w == 0 {
-					continue
-				}
-				phh := h * n1 / n0
-				lamT += w * lambda(net, b1, pn, phh)
-				tauT += w * tau(net, b1, pn, phh)
-				lamK0 += w * lambda(c.Net, b1, n, h)
+			// the target shift's fault distribution; lamK0, the same sum
+			// under the calibration network, isolates the network's cost
+			// ratio from the fault-count change. Each term is exactly
+			// w·λ and w·τ, summed in ascending home order.
+			row := pi*n0 + n
+			var lamT, tauT float64
+			for j := sc.rowAt[row]; j < sc.rowAt[row+1]; j++ {
+				w, phh := sc.count[j], pos[sc.home[j]]
+				tr := net.TransitDelayPair(b1, phh, pn)
+				lamT += w * float64(lamFixed+net.TransitDelayPair(0, pn, phh)+tr)
+				tauT += w * float64(tr)
 			}
+			lamK0 := sc.lamK0[row]
 			phLamT += lamT
 			phLamK0 += lamK0
-			fK := sc.faults[pi*n0+n]
-			f0 := s0.faults[pi*n0+n]
+			fK := sc.faults[row]
+			f0 := s0.faults[row]
 
 			computeT := nc.compute * compR
 			// Stall scales with the replay's charged wait (miss round
 			// trips plus queuing behind in-flight transfers), carried to
 			// the target network by the per-fault cost-mix ratio.
-			stallT := scale(nc.stall, sc.stallq[pi*n0+n]*ratio(lamT, lamK0), s0.stallq[pi*n0+n])
+			stallT := scale(nc.stall, sc.stallq[row]*ratio(lamT, lamK0), s0.stallq[row])
 			transitT := scale(nc.transit, tauT, nc.tau0)
 			occT := scale(nc.occupancy, fK, f0) * occR
 			serviceT := scale(nc.service, fK, f0) * svcR

@@ -1,10 +1,13 @@
 package predict
 
 import (
+	"encoding/binary"
 	"fmt"
+	"hash/fnv"
 	"strings"
 	"testing"
 
+	"presto/internal/apps/adaptive"
 	"presto/internal/chaos"
 	"presto/internal/network"
 	"presto/internal/rt"
@@ -176,6 +179,63 @@ func TestChaosBandSmoke(t *testing.T) {
 	}
 }
 
+// TestSweepDigest pins Predict and Phases bit for bit over the whole sweep
+// grid — node counts 2..37 × {cm5, now, hwdsm, cluster:4x8} × shifts
+// 0..MaxShift — from small recorded Adaptive calibrations, one per
+// protocol. Any change to the calibration replay's merge order (including
+// its tie-break) or to the model's arithmetic moves a digest.
+func TestSweepDigest(t *testing.T) {
+	want := map[rt.ProtocolKind]string{
+		rt.ProtoStache:     "bec89263e5adfaf5",
+		rt.ProtoPredictive: "c8d367c7df6b873b",
+		rt.ProtoUpdate:     "c2642434cf0e0c06",
+	}
+	var nets []*network.Params
+	for _, name := range []string{"cm5", "now", "hwdsm", "cluster:4x8"} {
+		np, err := network.Preset(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		nets = append(nets, np)
+	}
+	for _, proto := range []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive, rt.ProtoUpdate} {
+		r, err := adaptive.Run(adaptive.Config{
+			Machine: rt.Config{Nodes: 16, BlockSize: 32, Protocol: proto, Profile: true, Record: true},
+			Size:    16, Iters: 8, RefineEvery: 4,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		cal, err := Calibrate(r.Machine, "adaptive")
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := fnv.New64a()
+		for n := 2; n <= 37; n++ {
+			for _, net := range nets {
+				for k := 0; k <= MaxShift; k++ {
+					tg := Target{BlockSize: 32 << k, Net: net, Nodes: n}
+					p, err := cal.Predict(tg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					fc, err := cal.Phases(tg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					binary.Write(h, binary.LittleEndian, p)
+					for _, f := range fc {
+						binary.Write(h, binary.LittleEndian, [2]int64{int64(f.Phase), f.SpanNS})
+					}
+				}
+			}
+		}
+		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[proto] {
+			t.Errorf("%s: sweep digest %s, want %s", proto, got, want[proto])
+		}
+	}
+}
+
 // TestPredictZeroAlloc locks the sweep hot path: Predict on a built
 // calibration allocates nothing.
 func TestPredictZeroAlloc(t *testing.T) {
@@ -222,6 +282,16 @@ func TestCalibrateRequiresInstrumentation(t *testing.T) {
 	m := rt.New(rt.Config{Nodes: 2, BlockSize: 32})
 	if _, err := Calibrate(m, "x"); err == nil {
 		t.Fatal("calibrated a machine without Profile/Record")
+	}
+}
+
+// TestCalibrateNodeBound refuses a calibration beyond MaxNodes: the
+// replay's 64-bit sharer masks cannot name node 64 or above, so every
+// access by such a node would count as a fault.
+func TestCalibrateNodeBound(t *testing.T) {
+	m := rt.New(rt.Config{Nodes: MaxNodes + 1, BlockSize: 32, Profile: true, Record: true})
+	if _, err := Calibrate(m, "x"); err == nil || !strings.Contains(err.Error(), "64-node bound") {
+		t.Fatalf("calibrated %d nodes: err %v, want the 64-node bound", MaxNodes+1, err)
 	}
 }
 

@@ -10,7 +10,8 @@ import (
 // simulation — benchmark and test scaffolding for the predictor's hot
 // path (kernelbench predict_sweep256). The tables are plausible rather
 // than measured: a producer/consumer fault pattern whose counts shrink
-// with block size, plus fixed attribution buckets.
+// with block size, plus fixed attribution buckets. nodes must not exceed
+// MaxNodes.
 func Synthetic(nodes, phases int) *Calibration {
 	c := &Calibration{
 		App:       "synthetic",
@@ -29,9 +30,10 @@ func Synthetic(nodes, phases int) *Calibration {
 
 	np := phases + 1 // phase -1 plus the named phases
 	c.phases = make([]phaseCal, np)
+	faultHome := make([][]int64, MaxShift+1)
 	for k := 0; k <= MaxShift; k++ {
 		c.shifts[k].faults = make([]float64, np*nodes)
-		c.shifts[k].faultHome = make([]float64, np*nodes*nodes)
+		faultHome[k] = make([]int64, np*nodes*nodes)
 		c.shifts[k].stallq = make([]float64, np*nodes)
 		c.shifts[k].imb = make([]float64, np)
 	}
@@ -61,13 +63,12 @@ func Synthetic(nodes, phases int) *Calibration {
 			if nc.busy0 > ph.busyCrit0 {
 				ph.busyCrit0 = nc.busy0
 			}
-			ph.sumBusy0 += nc.busy0
 			// Fault counts halve per shift until a floor: spatial
 			// locality with a residual conflicted fraction.
 			f := faults
 			for k := 0; k <= MaxShift; k++ {
 				c.shifts[k].faults[pi*nodes+n] = float64(f)
-				c.shifts[k].faultHome[(pi*nodes+n)*nodes+home] = float64(f)
+				faultHome[k][(pi*nodes+n)*nodes+home] = f
 				c.shifts[k].stallq[pi*nodes+n] = float64(f) * lam
 				c.shifts[k].reads += float64(f * 3 / 4)
 				c.shifts[k].writes += float64(f - f*3/4)
@@ -76,8 +77,6 @@ func Synthetic(nodes, phases int) *Calibration {
 					f = f/2 + 16
 				}
 			}
-			nc.lambda0 = c.shifts[0].faultHome[(pi*nodes+n)*nodes+home] * lam
-			nc.tau0 = c.shifts[0].faultHome[(pi*nodes+n)*nodes+home] * tau(c.Net, c.BlockSize, n, home)
 		}
 		// Imbalance slack shrinks with block size alongside the faults.
 		imb := 400_000.0
@@ -89,6 +88,7 @@ func Synthetic(nodes, phases int) *Calibration {
 		}
 		c.sumSpan0 += ph.span0
 	}
+	c.setHomes(faultHome)
 
 	var e float64
 	for pi := range c.phases {
