@@ -47,8 +47,8 @@
 // -engine parallel runs the simulation on the kernel's conservative
 // parallel engine; every output (breakdown, metrics, traces) is
 // byte-identical to -engine serial — only wall-clock time changes.
-// A bad -protocol, -block, -nodes, -engine, -net or -workers value exits
-// with status 2 and a one-line error.
+// A bad -protocol, -block, -nodes, -engine, -net or -workers value, or a
+// negative -size or -iters, exits with status 2 and a one-line error.
 // -cpuprofile/-memprofile write pprof profiles of the simulator itself.
 package main
 
@@ -88,6 +88,12 @@ func main() {
 	flag.Parse()
 
 	mc, err := machine()
+	if err == nil && *size < 0 {
+		err = fmt.Errorf("-size %d is negative", *size)
+	}
+	if err == nil && *iters < 0 {
+		err = fmt.Errorf("-iters %d is negative", *iters)
+	}
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dsmrun: %v\n", err)
 		os.Exit(2)
@@ -213,7 +219,7 @@ func main() {
 		}
 	}
 
-	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, mc.Nodes, mc.BlockSize, mc.Protocol)
+	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, m.Cfg.Nodes, m.Cfg.BlockSize, m.Cfg.Protocol)
 	if m != nil && mc.Engine == rt.EngineParallel {
 		ei := m.ExecInfo()
 		fmt.Printf("  engine            parallel: %d workers over %d lanes\n", ei.Workers, ei.Lanes)

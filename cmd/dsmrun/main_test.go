@@ -52,6 +52,8 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		"-nodes 8 -net cluster:4x4":            "describes 16 nodes",
 		"-engine parallel -nodes 4 -workers 9": "4 lanes",
 		"-predict -nodes 96":                   "at most 64 nodes",
+		"-size -5":                             "-size -5 is negative",
+		"-iters -1":                            "-iters -1 is negative",
 	} {
 		code, _, stderr := run(t, "-app water "+args)
 		if code != 2 || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
@@ -72,6 +74,20 @@ func TestTinyRun(t *testing.T) {
 	for _, want := range []string{"water on 4 nodes, 32B blocks, predictive protocol", "2 workers over 4 lanes", "energy checksum"} {
 		if !strings.Contains(stdout, want) {
 			t.Errorf("stdout lacks %q:\n%s", want, stdout)
+		}
+	}
+}
+
+// TestZeroNodesRunsDefault: -nodes 0 means the default machine, and the
+// summary names the node count that ran.
+func TestZeroNodesRunsDefault(t *testing.T) {
+	for _, app := range []string{"adaptive", "barnes", "water"} {
+		code, stdout, stderr := run(t, "-app "+app+" -nodes 0 -size 16 -iters 1")
+		if code != 0 {
+			t.Fatalf("%s: exit %d, stderr %q", app, code, stderr)
+		}
+		if want := app + " on 32 nodes"; !strings.Contains(stdout, want) {
+			t.Errorf("%s: stdout lacks %q:\n%s", app, want, stdout)
 		}
 	}
 }

@@ -115,8 +115,8 @@ func Run(cfg Config) (*Result, error) {
 	sub0 := m.NewArena("quadtree0", int64(maxRefined)*perCell)
 	sub1 := m.NewArena("quadtree1", int64(maxRefined)*perCell)
 
-	refinedCount := make([]int, c.Machine.Nodes)
-	sums := make([]float64, c.Machine.Nodes)
+	refinedCount := make([]int, m.Cfg.Nodes)
+	sums := make([]float64, m.Cfg.Nodes)
 
 	// boundary returns the fixed potential outside the mesh: the west
 	// wall is held at 1 (the "hot" electrode), the rest at 0.
@@ -194,10 +194,10 @@ func Run(cfg Config) (*Result, error) {
 						// Update own sub-values into the other parity.
 						out := subAt(sub, 1-parity)
 						own := w.ReadF64(src.At(i, j, 0))
-						w.WriteF64(out.Add(0), 0.5*own+0.25*(vN+vW))
-						w.WriteF64(out.Add(8), 0.5*own+0.25*(vN+vE))
-						w.WriteF64(out.Add(16), 0.5*own+0.25*(vS+vW))
-						w.WriteF64(out.Add(24), 0.5*own+0.25*(vS+vE))
+						w.WriteF64s(out, []float64{
+							0.5*own + 0.25*(vN+vW), 0.5*own + 0.25*(vN+vE),
+							0.5*own + 0.25*(vS+vW), 0.5*own + 0.25*(vS+vE),
+						})
 						w.Compute(c.CostSub)
 					}
 				}

@@ -171,3 +171,14 @@ func TestAdaptiveSwitchesBoundedByFaults(t *testing.T) {
 		}
 	}
 }
+
+// TestAdaptiveDefaultNodes: a zero node count means the default machine.
+func TestAdaptiveDefaultNodes(t *testing.T) {
+	r, err := Run(Config{Size: 32, Iters: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Machine.Cfg.Nodes; got != 32 {
+		t.Errorf("Machine.Nodes 0 ran on %d nodes, want the default 32", got)
+	}
+}

@@ -135,6 +135,9 @@ const (
 	cellSize  = 32 + 8*8
 )
 
+// zeroCell is a new cell: zero mass and centre, every child slot empty.
+var zeroCell [cellSize / 8]float64
+
 // child-reference encoding: 0 = empty, odd = body index*2+1,
 // even non-zero = cell address.
 func bodyRef(i int) uint64    { return uint64(i)*2 + 1 }
@@ -176,11 +179,14 @@ func Run(cfg Config) (*Result, error) {
 	mail := m.NewArray1D("mail", n, 1, false)
 	mailIdx := m.NewArray1D("mailidx", P*(numRegions+1), 1, false)
 	// Tree cells, allocated by each region's builder in its own segment.
-	// A builder needs up to ~2 cells per body in its regions; clustered
-	// inputs concentrate bodies, so size every builder's segment for half
-	// of all bodies landing in its regions (line storage is lazy, so
-	// headroom costs nothing).
-	arena := m.NewArena("cells", int64(n)*cellSize*int64(P))
+	// A builder needs a root cell per region it owns and up to ~2 cells
+	// per body in its regions; clustered inputs concentrate bodies, so
+	// size every builder's segment for half of all bodies landing in its
+	// regions, and never below four cells per owned region, which a small
+	// problem's roots and splits need (line storage is lazy, so headroom
+	// costs nothing).
+	segCells := max(n, 4*((numRegions+P-1)/P))
+	arena := m.NewArena("cells", int64(segCells)*cellSize*int64(P))
 
 	if c.SPMD {
 		if u, ok := m.Proto.(*update.Update); ok {
@@ -228,10 +234,7 @@ func Run(cfg Config) (*Result, error) {
 		// Owners publish initial body data.
 		w.Phase(PhaseAdvance, func() {
 			for i := lo; i < hi; i++ {
-				w.WriteF64(bodies.At(i, 0), bs[i].x)
-				w.WriteF64(bodies.At(i, 1), bs[i].y)
-				w.WriteF64(bodies.At(i, 2), bs[i].z)
-				w.WriteF64(bodies.At(i, 3), bs[i].mass)
+				w.WriteF64s(bodies.At(i, 0), []float64{bs[i].x, bs[i].y, bs[i].z, bs[i].mass})
 			}
 			w.Compute(sim.Time(hi-lo) * c.CostAdvance)
 		})
@@ -239,9 +242,7 @@ func Run(cfg Config) (*Result, error) {
 		// newCell allocates and zeroes a local tree cell.
 		newCell := func() memory.Addr {
 			a := arena.Alloc(w.ID, cellSize, true)
-			for off := int64(0); off < cellSize; off += 8 {
-				w.WriteU64(a.Add(off), 0)
-			}
+			w.WriteF64s(a, zeroCell[:])
 			myCells = append(myCells, a)
 			return a
 		}
@@ -253,10 +254,10 @@ func Run(cfg Config) (*Result, error) {
 			w.Phase(PhaseClassify, func() {
 				byRegion := make([][]int, numRegions)
 				for i := lo; i < hi; i++ {
-					x := w.ReadF64(bodies.At(i, 0))
-					y := w.ReadF64(bodies.At(i, 1))
-					z := w.ReadF64(bodies.At(i, 2))
-					byRegion[regionIndex(x, y, z)] = append(byRegion[regionIndex(x, y, z)], i)
+					var p [3]float64
+					w.ReadF64s(bodies.At(i, 0), p[:])
+					r := regionIndex(p[0], p[1], p[2])
+					byRegion[r] = append(byRegion[r], i)
 					w.Compute(c.CostClassify)
 				}
 				pos := lo
@@ -288,15 +289,13 @@ func Run(cfg Config) (*Result, error) {
 					oz := float64(r%regionsPerEdge) * re
 					count := 0
 					for src := 0; src < w.Nodes(); src++ {
-						start := w.ReadU64(mailIdx.At(src*(numRegions+1)+r, 0))
-						end := w.ReadU64(mailIdx.At(src*(numRegions+1)+r+1, 0))
-						for k := start; k < end; k++ {
+						var span [2]uint64 // src's list for region r: start and end
+						w.ReadU64s(mailIdx.At(src*(numRegions+1)+r, 0), span[:])
+						for k := span[0]; k < span[1]; k++ {
 							idx := int(w.ReadU64(mail.At(int(k), 0)))
-							px := w.ReadF64(bodies.At(idx, 0))
-							py := w.ReadF64(bodies.At(idx, 1))
-							pz := w.ReadF64(bodies.At(idx, 2))
-							ms := w.ReadF64(bodies.At(idx, 3))
-							insertInto(w, c, bodies, root, ox, oy, oz, re, idx, px, py, pz, ms, newCell)
+							var q [4]float64
+							w.ReadF64s(bodies.At(idx, 0), q[:])
+							insertInto(w, c, bodies, root, ox, oy, oz, re, idx, q[0], q[1], q[2], q[3], newCell)
 							count++
 						}
 					}
@@ -325,9 +324,9 @@ func Run(cfg Config) (*Result, error) {
 			w.Phase(PhaseForces, func() {
 				re := 1.0 / regionsPerEdge
 				for i := lo; i < hi; i++ {
-					px := w.ReadF64(bodies.At(i, 0))
-					py := w.ReadF64(bodies.At(i, 1))
-					pz := w.ReadF64(bodies.At(i, 2))
+					var p [3]float64
+					w.ReadF64s(bodies.At(i, 0), p[:])
+					px, py, pz := p[0], p[1], p[2]
 					ax, ay, az := 0.0, 0.0, 0.0
 
 					var trav func(ref uint64, ox, oy, oz, edge float64)
@@ -340,25 +339,25 @@ func Run(cfg Config) (*Result, error) {
 							if j == i {
 								return
 							}
-							qx := w.ReadF64(bodies.At(j, 0))
-							qy := w.ReadF64(bodies.At(j, 1))
-							qz := w.ReadF64(bodies.At(j, 2))
-							qm := w.ReadF64(bodies.At(j, 3))
-							fx, fy, fz := pairAccel(px, py, pz, qx, qy, qz, qm)
+							var q [4]float64
+							w.ReadF64s(bodies.At(j, 0), q[:])
+							fx, fy, fz := pairAccel(px, py, pz, q[0], q[1], q[2], q[3])
 							ax += fx
 							ay += fy
 							az += fz
 							w.Compute(c.CostBody)
 							return
 						}
+						// Mass and centre are one run: a referenced cell holds
+						// a body, so its mass is never 0 and the word-by-word
+						// reads past the test below would happen too.
 						cell := memory.Addr(ref)
-						ms := w.ReadF64(cell.Add(cellMass))
+						var mc [4]float64
+						w.ReadF64s(cell.Add(cellMass), mc[:])
+						ms, cx, cy, cz := mc[0], mc[1], mc[2], mc[3]
 						if ms == 0 {
 							return
 						}
-						cx := w.ReadF64(cell.Add(cellCX))
-						cy := w.ReadF64(cell.Add(cellCY))
-						cz := w.ReadF64(cell.Add(cellCZ))
 						dx, dy, dz := cx-px, cy-py, cz-pz
 						d2 := dx*dx + dy*dy + dz*dz
 						w.Compute(c.CostVisit)
@@ -369,9 +368,18 @@ func Run(cfg Config) (*Result, error) {
 							az += fz
 							return
 						}
+						// Child slots are read a block at a time as the loop
+						// reaches the block. No cell is written in this phase, so
+						// nothing changes or invalidates a slot between its early
+						// read and the loop reaching it (a recording node still
+						// reads one slot per access, in loop order).
 						half := edge / 2
-						for oct := 0; oct < 8; oct++ {
-							child := w.ReadU64(cell.Add(cellChild + int64(oct)*8))
+						var kids [8]uint64
+						for oct, have := 0, 0; oct < 8; oct++ {
+							if oct == have {
+								have += w.ReadU64sInBlock(cell.Add(cellChild+int64(oct)*8), kids[oct:])
+							}
+							child := kids[oct]
 							if child == 0 {
 								continue
 							}
@@ -382,8 +390,14 @@ func Run(cfg Config) (*Result, error) {
 						}
 					}
 
-					for r := 0; r < numRegions; r++ {
-						ref := w.ReadU64(roots.At(r, 0))
+					// Roots, written only in the build phase, are read a
+					// block at a time like child slots.
+					var refs [numRegions]uint64
+					for r, have := 0, 0; r < numRegions; r++ {
+						if r == have {
+							have += w.ReadU64sInBlock(roots.At(r, 0), refs[r:])
+						}
+						ref := refs[r]
 						ox := float64(r/(regionsPerEdge*regionsPerEdge)) * re
 						oy := float64(r/regionsPerEdge%regionsPerEdge) * re
 						oz := float64(r%regionsPerEdge) * re
@@ -433,7 +447,9 @@ func Run(cfg Config) (*Result, error) {
 
 		var cs float64
 		for i := lo; i < hi; i++ {
-			cs += w.ReadF64(bodies.At(i, 0)) + w.ReadF64(bodies.At(i, 1)) + w.ReadF64(bodies.At(i, 2))
+			var p [3]float64
+			w.ReadF64s(bodies.At(i, 0), p[:])
+			cs += p[0] + p[1] + p[2]
 		}
 		for _, v := range vel {
 			cs += v * v
@@ -500,13 +516,11 @@ func insertInto(w *rt.Worker, c Config, bodies *rt.Array1D, root memory.Addr, ox
 			// these loads hit the local cache), then continue placing
 			// the current body inside the new cell.
 			other := bodyIndex(ref)
-			obx := w.ReadF64(bodies.At(other, 0))
-			oby := w.ReadF64(bodies.At(other, 1))
-			obz := w.ReadF64(bodies.At(other, 2))
-			obm := w.ReadF64(bodies.At(other, 3))
+			var ob [4]float64
+			w.ReadF64s(bodies.At(other, 0), ob[:])
 			nc := newCell()
 			w.WriteU64(slot, uint64(nc))
-			insertInto(w, c, bodies, nc, nx, ny, nz, half, other, obx, oby, obz, obm, newCell)
+			insertInto(w, c, bodies, nc, nx, ny, nz, half, other, ob[0], ob[1], ob[2], ob[3], newCell)
 			cell, edge = nc, half
 			ox, oy, oz = nx, ny, nz
 		default:

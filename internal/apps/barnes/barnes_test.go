@@ -151,3 +151,25 @@ func abs(v float64) float64 {
 	}
 	return v
 }
+
+// TestBarnesTinyProblems: a handful of bodies on many builders still fits
+// the cell arena, whose segments must hold every builder's region roots;
+// and a zero node count means the default machine, as it does for rt.
+func TestBarnesTinyProblems(t *testing.T) {
+	for _, n := range []int{1, 7} {
+		r, err := Run(Config{Machine: rt.Config{Nodes: 8}, Bodies: n, Iters: 2})
+		if err != nil {
+			t.Fatalf("%d bodies: %v", n, err)
+		}
+		if r.Cells == 0 {
+			t.Errorf("%d bodies: no tree cells built", n)
+		}
+	}
+	r, err := Run(Config{Bodies: 16, Iters: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Machine.Cfg.Nodes; got != 32 {
+		t.Errorf("Machine.Nodes 0 ran on %d nodes, want the default 32", got)
+	}
+}

@@ -144,7 +144,7 @@ func RunDebug(cfg Config, maxEvents int64) (*Result, error) {
 	)
 	cut2 := cutoff * cutoff
 
-	energies := make([]float64, c.Machine.Nodes)
+	energies := make([]float64, m.Cfg.Nodes)
 	err := m.Run(func(w *rt.Worker) {
 		lo, hi := pos.MyRange(w)
 		// Owner-local state (private in the C** program).
@@ -155,12 +155,8 @@ func RunDebug(cfg Config, maxEvents int64) (*Result, error) {
 		// Initialization phase: owners write their molecules.
 		w.Phase(PhaseAdvance, func() {
 			for i := lo; i < hi; i++ {
-				w.WriteF64(pos.At(i, 0), initX[3*i+0])
-				w.WriteF64(pos.At(i, 1), initX[3*i+1])
-				w.WriteF64(pos.At(i, 2), initX[3*i+2])
-				w.WriteF64(vel.At(i, 0), initV[3*i+0])
-				w.WriteF64(vel.At(i, 1), initV[3*i+1])
-				w.WriteF64(vel.At(i, 2), initV[3*i+2])
+				w.WriteF64s(pos.At(i, 0), initX[3*i:3*i+3])
+				w.WriteF64s(vel.At(i, 0), initV[3*i:3*i+3])
 				copy(myVel[3*(i-lo):], initV[3*i:3*i+3])
 			}
 			w.Compute(sim.Time(hi-lo) * c.CostAdvance)
@@ -176,15 +172,12 @@ func RunDebug(cfg Config, maxEvents int64) (*Result, error) {
 			}
 			w.Phase(PhaseForces, func() {
 				for i := lo; i < hi; i++ {
-					xi := w.ReadF64(pos.At(i, 0))
-					yi := w.ReadF64(pos.At(i, 1))
-					zi := w.ReadF64(pos.At(i, 2))
+					var pi, pj [3]float64
+					w.ReadF64s(pos.At(i, 0), pi[:])
 					for k := 1; k <= half; k++ {
 						j := (i + k) % n
-						xj := w.ReadF64(pos.At(j, 0))
-						yj := w.ReadF64(pos.At(j, 1))
-						zj := w.ReadF64(pos.At(j, 2))
-						dx, dy, dz := xi-xj, yi-yj, zi-zj
+						w.ReadF64s(pos.At(j, 0), pj[:])
+						dx, dy, dz := pi[0]-pj[0], pi[1]-pj[1], pi[2]-pj[2]
 						r2 := dx*dx + dy*dy + dz*dz
 						if r2 < cut2 && r2 > 0 {
 							// Softened inverse-square pair force.

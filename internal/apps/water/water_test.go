@@ -123,3 +123,14 @@ func TestWaterEnergyFiniteAndStable(t *testing.T) {
 		t.Fatalf("energy depends on node count: %v vs %v (rel %g)", r4.Energy, r8.Energy, rel)
 	}
 }
+
+// TestWaterDefaultNodes: a zero node count means the default machine.
+func TestWaterDefaultNodes(t *testing.T) {
+	r, err := Run(Config{Molecules: 16, Steps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Machine.Cfg.Nodes; got != 32 {
+		t.Errorf("Machine.Nodes 0 ran on %d nodes, want the default 32", got)
+	}
+}

@@ -1,6 +1,6 @@
 // Protocol-path benchmarks: the block-state hot paths of the dense paged
 // storage layer (internal/blockstate) — directory churn, pre-send walk,
-// deferral scan. The map-reference backend is a test
+// deferral scan — and the shared-access hit path they guard. The map-reference backend is a test
 // oracle and is not timed.
 package kernelbench
 
@@ -9,7 +9,9 @@ import (
 
 	"presto/internal/blockstate"
 	"presto/internal/memory"
+	"presto/internal/network"
 	"presto/internal/schedule"
+	"presto/internal/sim"
 	"presto/internal/tempest"
 )
 
@@ -19,6 +21,7 @@ func protocolCases() []Case {
 		{"dir_churn_dense", benchDirChurn, true},
 		{"presend_walk_repeat", benchPresendWalkRepeat, true},
 		{"stache_deferral_scan_dense", benchDeferralScan, true},
+		{"run_hits", benchRunHits, true},
 	}
 }
 
@@ -115,5 +118,35 @@ func benchDeferralScan(b *testing.B) {
 	}
 	if sum == 0 {
 		b.Fatal("empty scan")
+	}
+}
+
+// benchRunHits is the block-run access path on resident lines: a compute
+// processor loads an 8-word run starting mid-block (three blocks at 32
+// bytes), bumps a word, and stores the run back, every line already home
+// and ReadWrite. One op is one load run plus one store run. Guarded: a
+// hit may not allocate.
+func benchRunHits(b *testing.B) {
+	b.ReportAllocs()
+	as := memory.NewAddressSpace(1, 32)
+	r := as.NewRegion("runs", benchBlocks*32, func(int64) int { return 0 })
+	n := tempest.NewNode(0, as, network.CM5(), benchProto{})
+	k := sim.NewKernel()
+	ops := b.N
+	k.Spawn("compute", func(p *sim.Proc) {
+		var run [8]float64
+		for i := int64(0); i < benchBlocks; i++ {
+			n.WriteF64s(p, r.BlockAt(i), run[:4]) // materialize every line
+		}
+		for i := 0; i < ops; i++ {
+			a := r.BlockAt(int64(i % (benchBlocks - 2))).Add(16)
+			n.ReadF64s(p, a, run[:])
+			run[0]++
+			n.WriteF64s(p, a, run[:])
+		}
+	})
+	b.ResetTimer()
+	if err := k.Run(); err != nil {
+		b.Fatal(err)
 	}
 }

@@ -389,67 +389,71 @@ func (s *Store) Data(b Block) []byte {
 	return l.Data
 }
 
-func (s *Store) checkAlign(a Addr, size int64) (l *Line, off int64) {
-	off = a.Offset()
+// run is the one access check behind every load and store: it panics on
+// an address not aligned to size, walks to a's line, and returns the
+// line's bytes from a to the end of its block when the tag is at least
+// need — nil on an access fault. The caller may move any number of
+// size-byte words out of (or into) the result for that one check.
+func (s *Store) run(a Addr, size int64, need Tag) []byte {
+	off := a.Offset()
 	if off&(size-1) != 0 {
 		panic(fmt.Sprintf("memory: misaligned %d-byte access at %#x", size, uint64(a)))
 	}
-	return s.lineAt(a, missHome), off & int64(s.as.blockSize-1)
+	if l := s.lineAt(a, missHome); l != nil && l.Tag >= need {
+		return l.Data[off&int64(s.as.blockSize-1):]
+	}
+	return nil
 }
+
+// LoadRun returns the node's bytes of a's block from a to the block's end
+// for loading size-byte words, or nil on an access fault (tag Invalid).
+// The bytes alias the line: they are read-only, and valid while its tag
+// is unchanged.
+func (s *Store) LoadRun(a Addr, size int64) []byte { return s.run(a, size, ReadOnly) }
+
+// StoreRun is LoadRun for storing: the tag must be ReadWrite, and the
+// caller may write the returned bytes.
+func (s *Store) StoreRun(a Addr, size int64) []byte { return s.run(a, size, ReadWrite) }
 
 // LoadF64 reads a float64; ok is false on an access fault.
 func (s *Store) LoadF64(a Addr) (v float64, ok bool) {
-	l, off := s.checkAlign(a, 8)
-	if l == nil || l.Tag < ReadOnly {
-		return 0, false
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(l.Data[off:])), true
+	u, ok := s.LoadU64(a)
+	return math.Float64frombits(u), ok
 }
 
 // StoreF64 writes a float64; ok is false on an access fault.
-func (s *Store) StoreF64(a Addr, v float64) (ok bool) {
-	l, off := s.checkAlign(a, 8)
-	if l == nil || l.Tag < ReadWrite {
-		return false
-	}
-	binary.LittleEndian.PutUint64(l.Data[off:], math.Float64bits(v))
-	return true
-}
+func (s *Store) StoreF64(a Addr, v float64) (ok bool) { return s.StoreU64(a, math.Float64bits(v)) }
 
 // LoadU64 reads a uint64; ok is false on an access fault.
 func (s *Store) LoadU64(a Addr) (v uint64, ok bool) {
-	l, off := s.checkAlign(a, 8)
-	if l == nil || l.Tag < ReadOnly {
-		return 0, false
+	if d := s.LoadRun(a, 8); d != nil {
+		return binary.LittleEndian.Uint64(d), true
 	}
-	return binary.LittleEndian.Uint64(l.Data[off:]), true
+	return 0, false
 }
 
 // StoreU64 writes a uint64; ok is false on an access fault.
 func (s *Store) StoreU64(a Addr, v uint64) (ok bool) {
-	l, off := s.checkAlign(a, 8)
-	if l == nil || l.Tag < ReadWrite {
-		return false
+	d := s.StoreRun(a, 8)
+	if d != nil {
+		binary.LittleEndian.PutUint64(d, v)
 	}
-	binary.LittleEndian.PutUint64(l.Data[off:], v)
-	return true
+	return d != nil
 }
 
 // LoadU32 reads a uint32; ok is false on an access fault.
 func (s *Store) LoadU32(a Addr) (v uint32, ok bool) {
-	l, off := s.checkAlign(a, 4)
-	if l == nil || l.Tag < ReadOnly {
-		return 0, false
+	if d := s.LoadRun(a, 4); d != nil {
+		return binary.LittleEndian.Uint32(d), true
 	}
-	return binary.LittleEndian.Uint32(l.Data[off:]), true
+	return 0, false
 }
 
 // StoreU32 writes a uint32; ok is false on an access fault.
 func (s *Store) StoreU32(a Addr, v uint32) (ok bool) {
-	l, off := s.checkAlign(a, 4)
-	if l == nil || l.Tag < ReadWrite {
-		return false
+	d := s.StoreRun(a, 4)
+	if d != nil {
+		binary.LittleEndian.PutUint32(d, v)
 	}
-	binary.LittleEndian.PutUint32(l.Data[off:], v)
-	return true
+	return d != nil
 }

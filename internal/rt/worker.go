@@ -54,11 +54,24 @@ func (w *Worker) ReadU64(a memory.Addr) uint64 { return w.Node.ReadU64(w.P, a) }
 // WriteU64 stores a shared uint64.
 func (w *Worker) WriteU64(a memory.Addr, v uint64) { w.Node.WriteU64(w.P, a, v) }
 
-// ReadU32 loads a shared uint32.
-func (w *Worker) ReadU32(a memory.Addr) uint32 { return w.Node.ReadU32(w.P, a) }
+// ReadF64s loads len(dst) consecutive shared float64s from a, with one
+// access per block the run touches.
+func (w *Worker) ReadF64s(a memory.Addr, dst []float64) { w.Node.ReadF64s(w.P, a, dst) }
 
-// WriteU32 stores a shared uint32.
-func (w *Worker) WriteU32(a memory.Addr, v uint32) { w.Node.WriteU32(w.P, a, v) }
+// WriteF64s stores src to consecutive shared float64s from a, with one
+// access per block the run touches.
+func (w *Worker) WriteF64s(a memory.Addr, src []float64) { w.Node.WriteF64s(w.P, a, src) }
+
+// ReadU64s loads len(dst) consecutive shared uint64s from a, with one
+// access per block the run touches.
+func (w *Worker) ReadU64s(a memory.Addr, dst []uint64) { w.Node.ReadU64s(w.P, a, dst) }
+
+// ReadU64sInBlock loads consecutive shared uint64s from a into dst as one
+// access, stopping at the end of a's block, and returns how many it
+// loaded (see tempest.Node.ReadU64sInBlock).
+func (w *Worker) ReadU64sInBlock(a memory.Addr, dst []uint64) int {
+	return w.Node.ReadU64sInBlock(w.P, a, dst)
+}
 
 // Barrier joins the machine-wide barrier, accounting the wait as
 // synchronization time. It first drains anything the compute processor

@@ -14,7 +14,9 @@
 package tempest
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"presto/internal/blockstate"
 	"presto/internal/memory"
@@ -266,20 +268,6 @@ func (n *Node) NotePresendArrival(b memory.Block) {
 	}
 }
 
-// notePresendUse scores a schedule hit if the accessed block was pre-sent
-// and not yet consumed. Called on the compute processor's successful
-// access fast path (guarded by presendFresh.Count() > 0).
-func (n *Node) notePresendUse(a memory.Addr) {
-	b := n.AS.BlockOf(a)
-	if !n.presendFresh.Clear(b) {
-		return
-	}
-	n.Met.PresendHits.Inc()
-	if n.curPhase != nil {
-		n.curPhase.PresendHits++
-	}
-}
-
 // PresendFreshCount reports the pre-sent blocks installed at this node
 // that no compute access has consumed yet. At quiescence the exact
 // accounting identity PresendsIn == PresendHits + PresendsStale +
@@ -471,43 +459,82 @@ func (n *Node) fault(p *sim.Proc, a memory.Addr, write bool) {
 	}
 }
 
-// ReadF64 performs a shared-memory load of a float64 on compute processor
-// p, faulting into the protocol as needed.
-func (n *Node) ReadF64(p *sim.Proc, a memory.Addr) float64 {
+// ReadRun gives compute processor p read access to a's block: it faults
+// into the protocol until the node's tag allows a load of the 8-byte word
+// at a, does the first-use bookkeeping (finishUse), and returns the node's
+// bytes of the block from a to its end (read-only). It is the one access
+// path of every Read* accessor. A hit neither yields nor advances virtual
+// time, and after it the block's first-use marks are clear, so loading
+// more words of the block from the returned bytes is exactly what loading
+// them one by one would do — except on a recording node, which notes every
+// word as its own access: there ReadRun returns only the word at a.
+func (n *Node) ReadRun(p *sim.Proc, a memory.Addr) []byte {
 	if n.Rec != nil {
 		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), false)
 	}
 	for {
-		if v, ok := n.Store.LoadF64(a); ok {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
+		if d := n.Store.LoadRun(a, 8); d != nil {
+			n.finishUse(p, a)
+			if n.Rec != nil {
+				return d[:8]
 			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return v
+			return d
 		}
 		n.fault(p, a, false)
 	}
 }
 
-// WriteF64 performs a shared-memory store of a float64.
-func (n *Node) WriteF64(p *sim.Proc, a memory.Addr, v float64) {
+// WriteRun is ReadRun for stores: it faults until the tag allows a store,
+// and the caller writes the returned bytes.
+func (n *Node) WriteRun(p *sim.Proc, a memory.Addr) []byte {
 	if n.Rec != nil {
 		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), true)
 	}
 	for {
-		if n.Store.StoreF64(a, v) {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
+		if d := n.Store.StoreRun(a, 8); d != nil {
+			n.finishUse(p, a)
+			if n.Rec != nil {
+				return d[:8]
 			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return
+			return d
 		}
 		n.fault(p, a, true)
 	}
+}
+
+// finishUse ends every successful access: it clears the first-use marks
+// of a's block, if any are set.
+func (n *Node) finishUse(p *sim.Proc, a memory.Addr) {
+	if n.pendingUse.Count() > 0 || n.presendFresh.Count() > 0 {
+		n.finishUseMarks(p, a)
+	}
+}
+
+// finishUseMarks clears the first-use marks of a's block: a grant's
+// pending use, posting MsgUseDone when the protocol deferred an action on
+// it, and a pre-sent copy's freshness, scoring a schedule hit.
+func (n *Node) finishUseMarks(p *sim.Proc, a memory.Addr) {
+	b := n.AS.BlockOf(a)
+	if n.pendingUse.Count() > 0 && n.pendingUse.Clear(b) && n.pendingDeferred.Clear(b) {
+		n.Post(p, n, MsgUseDone{Block: b})
+	}
+	if n.presendFresh.Count() > 0 && n.presendFresh.Clear(b) {
+		n.Met.PresendHits.Inc()
+		if n.curPhase != nil {
+			n.curPhase.PresendHits++
+		}
+	}
+}
+
+// ReadF64 performs a shared-memory load of a float64 on compute processor
+// p, faulting into the protocol as needed.
+func (n *Node) ReadF64(p *sim.Proc, a memory.Addr) float64 {
+	return math.Float64frombits(binary.LittleEndian.Uint64(n.ReadRun(p, a)))
+}
+
+// WriteF64 performs a shared-memory store of a float64.
+func (n *Node) WriteF64(p *sim.Proc, a memory.Addr, v float64) {
+	binary.LittleEndian.PutUint64(n.WriteRun(p, a), math.Float64bits(v))
 }
 
 // RMWF64 performs an atomic read-modify-write of a shared float64: it
@@ -515,99 +542,70 @@ func (n *Node) WriteF64(p *sim.Proc, a memory.Addr, v float64) {
 // single non-yielding step, so no other node's write can interleave —
 // the shared-memory analogue of a lock-protected update.
 func (n *Node) RMWF64(p *sim.Proc, a memory.Addr, fn func(v float64) float64) {
-	if n.Rec != nil {
-		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), true)
-	}
-	for {
-		if v, ok := n.Store.LoadF64(a); ok {
-			if n.Store.StoreF64(a, fn(v)) {
-				if n.pendingUse.Count() > 0 {
-					n.finishUse(p, a)
-				}
-				if n.presendFresh.Count() > 0 {
-					n.notePresendUse(a)
-				}
-				return
-			}
-		}
-		n.fault(p, a, true)
-	}
+	d := n.WriteRun(p, a)
+	v := fn(math.Float64frombits(binary.LittleEndian.Uint64(d)))
+	binary.LittleEndian.PutUint64(d, math.Float64bits(v))
 }
 
 // ReadU64 performs a shared-memory load of a uint64.
 func (n *Node) ReadU64(p *sim.Proc, a memory.Addr) uint64 {
-	if n.Rec != nil {
-		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), false)
-	}
-	for {
-		if v, ok := n.Store.LoadU64(a); ok {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
-			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return v
-		}
-		n.fault(p, a, false)
-	}
+	return binary.LittleEndian.Uint64(n.ReadRun(p, a))
 }
 
 // WriteU64 performs a shared-memory store of a uint64.
 func (n *Node) WriteU64(p *sim.Proc, a memory.Addr, v uint64) {
-	if n.Rec != nil {
-		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), true)
-	}
-	for {
-		if n.Store.StoreU64(a, v) {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
-			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return
+	binary.LittleEndian.PutUint64(n.WriteRun(p, a), v)
+}
+
+// ReadF64s loads len(dst) consecutive shared float64s starting at a, with
+// one access per block the run touches: the same faults, bookkeeping and
+// recording as loading them one by one with ReadF64.
+func (n *Node) ReadF64s(p *sim.Proc, a memory.Addr, dst []float64) {
+	for len(dst) > 0 {
+		d := n.ReadRun(p, a)
+		k := min(len(dst), len(d)/8)
+		for i := range dst[:k] {
+			dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(d[8*i:]))
 		}
-		n.fault(p, a, true)
+		dst, a = dst[k:], a.Add(int64(8*k))
 	}
 }
 
-// ReadU32 performs a shared-memory load of a uint32.
-func (n *Node) ReadU32(p *sim.Proc, a memory.Addr) uint32 {
-	if n.Rec != nil {
-		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), false)
-	}
-	for {
-		if v, ok := n.Store.LoadU32(a); ok {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
-			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return v
+// WriteF64s stores src to consecutive shared float64s starting at a, with
+// one access per block the run touches, as WriteF64 word by word would.
+func (n *Node) WriteF64s(p *sim.Proc, a memory.Addr, src []float64) {
+	for len(src) > 0 {
+		d := n.WriteRun(p, a)
+		k := min(len(src), len(d)/8)
+		for i, v := range src[:k] {
+			binary.LittleEndian.PutUint64(d[8*i:], math.Float64bits(v))
 		}
-		n.fault(p, a, false)
+		src, a = src[k:], a.Add(int64(8*k))
 	}
 }
 
-// WriteU32 performs a shared-memory store of a uint32.
-func (n *Node) WriteU32(p *sim.Proc, a memory.Addr, v uint32) {
-	if n.Rec != nil {
-		n.Rec.NoteAccess(n.phaseID, n.phaseIter, p.Now(), n.AS.BlockOf(a), true)
+// ReadU64s loads len(dst) consecutive shared uint64s starting at a, with
+// one access per block the run touches, as ReadU64 word by word would.
+func (n *Node) ReadU64s(p *sim.Proc, a memory.Addr, dst []uint64) {
+	for len(dst) > 0 {
+		k := n.ReadU64sInBlock(p, a, dst)
+		dst, a = dst[k:], a.Add(int64(8*k))
 	}
-	for {
-		if n.Store.StoreU32(a, v) {
-			if n.pendingUse.Count() > 0 {
-				n.finishUse(p, a)
-			}
-			if n.presendFresh.Count() > 0 {
-				n.notePresendUse(a)
-			}
-			return
-		}
-		n.fault(p, a, true)
+}
+
+// ReadU64sInBlock is one access of ReadU64s: it loads consecutive shared
+// uint64s from a into dst, stopping at the end of a's block (after one
+// word on a recording node), and returns how many it loaded, at least 1;
+// dst must not be empty. A caller that would read the rest of the block
+// word by word later may take them now only if nothing in between can
+// change them.
+func (n *Node) ReadU64sInBlock(p *sim.Proc, a memory.Addr, dst []uint64) int {
+	d := n.ReadRun(p, a)
+	k := min(len(dst), len(d)/8)
+	for i := range dst[:k] {
+		dst[i] = binary.LittleEndian.Uint64(d[8*i:])
 	}
+	return k
 }
 
 // MarkPendingUse records that the compute processor is about to consume a
@@ -630,18 +628,6 @@ func (n *Node) DeferPostUse(b memory.Block) bool {
 	}
 	n.pendingDeferred.Set(b)
 	return true
-}
-
-// finishUse clears the pending-use mark after a successful access and, if
-// a protocol action was deferred, notifies the protocol processor.
-func (n *Node) finishUse(p *sim.Proc, a memory.Addr) {
-	b := n.AS.BlockOf(a)
-	if !n.pendingUse.Clear(b) {
-		return
-	}
-	if n.pendingDeferred.Clear(b) {
-		n.Post(p, n, MsgUseDone{Block: b})
-	}
 }
 
 // RecvCompute blocks the compute processor until a message satisfying want
