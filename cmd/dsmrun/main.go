@@ -54,6 +54,7 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -132,42 +133,19 @@ func main() {
 		}
 	}
 
-	var b rt.Breakdown
-	var c rt.Counters
-	var m *rt.Machine
-	var extra string
-	switch *app {
-	case "adaptive":
-		var r *adaptive.Result
-		r, err = adaptive.Run(adaptive.Config{Machine: mc, Size: *size, Iters: *iters})
-		if err == nil {
-			b, c, m = r.Breakdown, r.Counters, r.Machine
-			extra = fmt.Sprintf("refined cells: %d, checksum %.4f", r.Refined, r.Checksum)
-		}
-	case "barnes":
-		var r *barnes.Result
-		r, err = barnes.Run(barnes.Config{Machine: mc, Bodies: *size, Iters: *iters, SPMD: *spmd})
-		if err == nil {
-			b, c, m = r.Breakdown, r.Counters, r.Machine
-			extra = fmt.Sprintf("tree cells: %d, checksum %.4f", r.Cells, r.Checksum)
-		}
-	case "water":
-		var r *water.Result
-		r, err = water.Run(water.Config{Machine: mc, Molecules: *size, Steps: *iters, Splash: *splash})
-		if err == nil {
-			b, c, m = r.Breakdown, r.Counters, r.Machine
-			extra = fmt.Sprintf("energy checksum %.4f", r.Energy)
-		}
-	default:
-		fmt.Fprintln(os.Stderr, "dsmrun: -app must be adaptive, barnes or water")
+	a := appRun{app: *app, size: *size, iters: *iters, spmd: *spmd, splash: *splash}
+	m, extra, err := a.run(mc)
+	if errors.Is(err, errUnknownApp) {
+		fmt.Fprintln(os.Stderr, "dsmrun:", err)
 		os.Exit(2)
 	}
 	if err != nil {
 		fatal(err)
 	}
+	b, c := m.Breakdown(), m.Counters()
 
 	var prof *causal.Profile
-	if mc.Profile && m != nil {
+	if mc.Profile {
 		prof, err = m.Profile(*app)
 		if err != nil {
 			fatal(err)
@@ -202,7 +180,7 @@ func main() {
 		}
 	}
 
-	if *metricsOut != "" && m != nil {
+	if *metricsOut != "" {
 		out := os.Stdout
 		if *metricsOut != "-" {
 			f, err := os.Create(*metricsOut)
@@ -220,7 +198,7 @@ func main() {
 	}
 
 	fmt.Printf("%s on %d nodes, %dB blocks, %s protocol\n", *app, m.Cfg.Nodes, m.Cfg.BlockSize, m.Cfg.Protocol)
-	if m != nil && mc.Engine == rt.EngineParallel {
+	if mc.Engine == rt.EngineParallel {
 		ei := m.ExecInfo()
 		fmt.Printf("  engine            parallel: %d workers over %d lanes\n", ei.Workers, ei.Lanes)
 	}
@@ -237,9 +215,7 @@ func main() {
 	fmt.Printf("  pre-sends         %d blocks (%d bulk messages, %d skipped, %d conflicts)\n",
 		c.PresendsSent, c.BulkMsgs, c.PresendsSkipped, c.Conflicts)
 	fmt.Printf("  %s\n", extra)
-	if m != nil {
-		printPhases(m)
-	}
+	printPhases(m)
 
 	if prof != nil {
 		fmt.Println()
@@ -261,45 +237,63 @@ func main() {
 	}
 
 	if *predictFlag {
-		if err := predictReport(*app, mc, *size, *iters, *spmd, *splash, b); err != nil {
+		if err := predictReport(a, mc, b); err != nil {
 			fatal(err)
 		}
 	}
+}
+
+// appRun is the application half of a dsmrun invocation: everything but
+// the machine.
+type appRun struct {
+	app          string
+	size, iters  int
+	spmd, splash bool
+}
+
+var errUnknownApp = errors.New("-app must be adaptive, barnes or water")
+
+// run executes the application on a machine built from mc and returns
+// the machine and the application's one-line result summary.
+func (a appRun) run(mc rt.Config) (*rt.Machine, string, error) {
+	switch a.app {
+	case "adaptive":
+		r, err := adaptive.Run(adaptive.Config{Machine: mc, Size: a.size, Iters: a.iters})
+		if err != nil {
+			return nil, "", err
+		}
+		return r.Machine, fmt.Sprintf("refined cells: %d, checksum %.4f", r.Refined, r.Checksum), nil
+	case "barnes":
+		r, err := barnes.Run(barnes.Config{Machine: mc, Bodies: a.size, Iters: a.iters, SPMD: a.spmd})
+		if err != nil {
+			return nil, "", err
+		}
+		return r.Machine, fmt.Sprintf("tree cells: %d, checksum %.4f", r.Cells, r.Checksum), nil
+	case "water":
+		r, err := water.Run(water.Config{Machine: mc, Molecules: a.size, Steps: a.iters, Splash: a.splash})
+		if err != nil {
+			return nil, "", err
+		}
+		return r.Machine, fmt.Sprintf("energy checksum %.4f", r.Energy), nil
+	}
+	return nil, "", errUnknownApp
 }
 
 // predictReport validates the analytical fast path against the run that
 // just finished: it records a calibration of the same configuration at
 // the predictor's 32B base block size, extrapolates to the requested
 // block size, and prints the error table plus the predicted breakdown.
-func predictReport(app string, mc rt.Config, size, iters int, spmd, splash bool, simulated rt.Breakdown) error {
+func predictReport(a appRun, mc rt.Config, simulated rt.Breakdown) error {
 	cc := mc
 	cc.BlockSize = 32
 	cc.Profile, cc.Record = true, true
 	cc.Sink = nil
 
-	var m *rt.Machine
-	var err error
-	switch app {
-	case "adaptive":
-		var r *adaptive.Result
-		if r, err = adaptive.Run(adaptive.Config{Machine: cc, Size: size, Iters: iters}); err == nil {
-			m = r.Machine
-		}
-	case "barnes":
-		var r *barnes.Result
-		if r, err = barnes.Run(barnes.Config{Machine: cc, Bodies: size, Iters: iters, SPMD: spmd}); err == nil {
-			m = r.Machine
-		}
-	case "water":
-		var r *water.Result
-		if r, err = water.Run(water.Config{Machine: cc, Molecules: size, Steps: iters, Splash: splash}); err == nil {
-			m = r.Machine
-		}
-	}
+	m, _, err := a.run(cc)
 	if err != nil {
 		return fmt.Errorf("predict calibration: %w", err)
 	}
-	cal, err := predict.Calibrate(m, app)
+	cal, err := predict.Calibrate(m, a.app)
 	if err != nil {
 		return err
 	}
@@ -314,7 +308,7 @@ func predictReport(app string, mc rt.Config, size, iters int, spmd, splash bool,
 	fmt.Printf("  remote-data wait  %v (simulated %v)\n", pr.Breakdown.RemoteWait, simulated.RemoteWait)
 	fmt.Printf("  pre-send          %v (simulated %v)\n", pr.Breakdown.Presend, simulated.Presend)
 	var table predict.ErrorTable
-	table.Add(app, fmt.Sprintf("%s/%s", app, mc.Protocol), mc.BlockSize,
+	table.Add(a.app, fmt.Sprintf("%s/%s", a.app, mc.Protocol), mc.BlockSize,
 		pr.ElapsedNS, int64(simulated.Elapsed))
 	table.Render(os.Stdout)
 	return nil

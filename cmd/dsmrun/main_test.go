@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"os/exec"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -24,6 +25,9 @@ func TestMain(m *testing.M) {
 
 const asMain = "run-as-main"
 
+// goroutineTrace matches the header of a Go panic's goroutine dump.
+var goroutineTrace = regexp.MustCompile(`goroutine \d+ \[`)
+
 // run executes main in a child process and a scratch directory and
 // returns its exit status, stdout and stderr.
 func run(t *testing.T, args string) (int, string, string) {
@@ -36,6 +40,11 @@ func run(t *testing.T, args string) (int, string, string) {
 	var exit *exec.ExitError
 	if err != nil && !errors.As(err, &exit) {
 		t.Fatal(err)
+	}
+	// An unrecovered panic also exits non-zero; its trace must never
+	// stand in for an error line.
+	if goroutineTrace.MatchString(stderr.String()) {
+		t.Errorf("%s: stderr carries a goroutine trace:\n%s", args, stderr.String())
 	}
 	return cmd.ProcessState.ExitCode(), stdout.String(), stderr.String()
 }
@@ -89,5 +98,14 @@ func TestZeroNodesRunsDefault(t *testing.T) {
 		if want := app + " on 32 nodes"; !strings.Contains(stdout, want) {
 			t.Errorf("%s: stdout lacks %q:\n%s", app, want, stdout)
 		}
+	}
+}
+
+// TestBarnesSPMDUnaligned: an SPMD write-update shape whose bodies do
+// not start a block on every node is one error line, not a host panic.
+func TestBarnesSPMDUnaligned(t *testing.T) {
+	code, _, stderr := run(t, "-app barnes -spmd -protocol update -nodes 5 -size 3 -block 64 -iters 1")
+	if code != 1 || !strings.Contains(stderr, "first body is in a block homed by node 0") || strings.Count(stderr, "\n") != 1 {
+		t.Errorf("exit %d, stderr %q; want exit 1 and one error line", code, stderr)
 	}
 }

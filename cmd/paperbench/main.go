@@ -26,10 +26,10 @@
 // hierarchical -net preset, a structural no-op on flat machines.
 //
 // -profile turns on the causal critical-path profiler for every machine
-// the experiments build. Figure rows then carry an exact time-attribution
-// profile (validated: buckets sum to total simulated time), rendered as
-// an extra table and embedded in the -json output. Simulated results are
-// identical with or without it.
+// the experiments build. Figure 5-7 and sweep rows then carry an exact
+// time-attribution profile (validated: buckets sum to total simulated
+// time), rendered as an extra table and embedded in the -json output.
+// Simulated results are identical with or without it.
 //
 // -predict answers the figure 5-7 and sweep experiments from the
 // analytical predictor (internal/predict): one recorded calibration

@@ -72,3 +72,15 @@ func TestTinyRun(t *testing.T) {
 		t.Errorf("unexpected stdout:\n%s", stdout)
 	}
 }
+
+// TestFigure4OutsideCheckout: figure 4's cstar program is built into the
+// binary, so the experiment runs from any working directory.
+func TestFigure4OutsideCheckout(t *testing.T) {
+	code, stdout, stderr := run(t, "-experiment figure4 -json=")
+	if code != 0 {
+		t.Fatalf("exit %d, stderr %q", code, stderr)
+	}
+	if !strings.Contains(stdout, "figure4 finished") {
+		t.Errorf("unexpected stdout:\n%s", stdout)
+	}
+}

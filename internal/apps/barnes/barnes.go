@@ -159,6 +159,28 @@ func coord(v float64) int {
 	return i
 }
 
+// cellSegment is the byte size of each builder's arena segment on P
+// nodes. A builder needs a root cell per region it owns and up to ~2
+// cells per body in its regions; clustered inputs concentrate bodies, so
+// size every segment for half of all bodies landing in its regions, and
+// never below four cells per owned region, which a small problem's roots
+// and splits need (line storage is lazy, so headroom costs nothing).
+//
+// Cells are block-aligned, so at blocks larger than a cell each takes a
+// whole block. A segment that cannot hold even its builder's roots at
+// that padding is counted in padded cells instead; every other shape
+// keeps its unpadded size, and with it its cell addresses.
+func cellSegment(n, P, bs int) int64 {
+	regions := (numRegions + P - 1) / P
+	cells := int64(max(n, 4*regions))
+	seg := (cells*cellSize + int64(bs) - 1) / int64(bs) * int64(bs) // as NewArena aligns it
+	padded := (cellSize + int64(bs) - 1) / int64(bs) * int64(bs)
+	if seg < int64(regions-1)*padded+cellSize {
+		seg = cells * padded
+	}
+	return seg
+}
+
 // Run executes Barnes on a machine built from cfg.
 func Run(cfg Config) (*Result, error) {
 	c := cfg.Defaults()
@@ -179,17 +201,18 @@ func Run(cfg Config) (*Result, error) {
 	mail := m.NewArray1D("mail", n, 1, false)
 	mailIdx := m.NewArray1D("mailidx", P*(numRegions+1), 1, false)
 	// Tree cells, allocated by each region's builder in its own segment.
-	// A builder needs a root cell per region it owns and up to ~2 cells
-	// per body in its regions; clustered inputs concentrate bodies, so
-	// size every builder's segment for half of all bodies landing in its
-	// regions, and never below four cells per owned region, which a small
-	// problem's roots and splits need (line storage is lazy, so headroom
-	// costs nothing).
-	segCells := max(n, 4*((numRegions+P-1)/P))
-	arena := m.NewArena("cells", int64(segCells)*cellSize*int64(P))
+	arena := m.NewArena("cells", cellSegment(n, P, m.Cfg.BlockSize)*int64(P))
 
 	if c.SPMD {
 		if u, ok := m.Proto.(*update.Update); ok {
+			// Each owner pushes its bodies' blocks, which it must home, so
+			// its first body has to start a block.
+			for node, per := 0, (n+P-1)/P; node*per < n; node++ {
+				if home := m.AS.HomeOf(bodies.At(node*per, 0)); home != node {
+					return &Result{Machine: m}, fmt.Errorf("barnes: SPMD write-update needs each node's bodies to start a block: node %d's first body is in a block homed by node %d (%d bodies per node, %dB blocks)",
+						node, home, per, m.Cfg.BlockSize)
+				}
+			}
 			u.SetRegions(bodies.R.ID)
 		}
 	}

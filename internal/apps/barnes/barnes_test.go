@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"strings"
 	"testing"
 
 	"presto/internal/rt"
@@ -153,16 +154,18 @@ func abs(v float64) float64 {
 }
 
 // TestBarnesTinyProblems: a handful of bodies on many builders still fits
-// the cell arena, whose segments must hold every builder's region roots;
-// and a zero node count means the default machine, as it does for rt.
+// the cell arena, whose segments must hold every builder's region roots,
+// also at blocks so large that every block-aligned cell takes a whole
+// block; and a zero node count means the default machine, as it does for
+// rt.
 func TestBarnesTinyProblems(t *testing.T) {
-	for _, n := range []int{1, 7} {
-		r, err := Run(Config{Machine: rt.Config{Nodes: 8}, Bodies: n, Iters: 2})
+	for _, sh := range []struct{ nodes, bodies, block int }{{8, 1, 32}, {8, 7, 32}, {16, 2, 4096}, {32, 40, 4096}} {
+		r, err := Run(Config{Machine: rt.Config{Nodes: sh.nodes, BlockSize: sh.block}, Bodies: sh.bodies, Iters: 2})
 		if err != nil {
-			t.Fatalf("%d bodies: %v", n, err)
+			t.Fatalf("%+v: %v", sh, err)
 		}
 		if r.Cells == 0 {
-			t.Errorf("%d bodies: no tree cells built", n)
+			t.Errorf("%+v: no tree cells built", sh)
 		}
 	}
 	r, err := Run(Config{Bodies: 16, Iters: 1})
@@ -171,5 +174,15 @@ func TestBarnesTinyProblems(t *testing.T) {
 	}
 	if got := r.Machine.Cfg.Nodes; got != 32 {
 		t.Errorf("Machine.Nodes 0 ran on %d nodes, want the default 32", got)
+	}
+}
+
+// TestBarnesSPMDUnalignedBodies: write-update SPMD pushes each owner's
+// body blocks, so a node whose first body shares a block homed by
+// another node is an error before the run, not a host panic.
+func TestBarnesSPMDUnalignedBodies(t *testing.T) {
+	_, err := Run(Config{Machine: rt.Config{Nodes: 5, BlockSize: 64, Protocol: rt.ProtoUpdate}, Bodies: 3, Iters: 1, SPMD: true})
+	if err == nil || !strings.Contains(err.Error(), "node 1's first body is in a block homed by node 0") {
+		t.Fatalf("got error %v, want node 1's first body rejected", err)
 	}
 }

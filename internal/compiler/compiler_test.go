@@ -163,7 +163,7 @@ func main() {
 }
 
 func TestBarnesFigure4(t *testing.T) {
-	src, err := os.ReadFile("../../testdata/barnes.cstar")
+	src, err := os.ReadFile("../harness/barnes.cstar")
 	if err != nil {
 		t.Fatal(err)
 	}

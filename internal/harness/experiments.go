@@ -1,8 +1,8 @@
 package harness
 
 import (
+	_ "embed"
 	"fmt"
-	"os"
 
 	"presto/internal/apps/adaptive"
 	"presto/internal/apps/barnes"
@@ -131,12 +131,14 @@ func runTable1(o Options) (*Result, error) {
 	return res, nil
 }
 
+// barnesCstar is the cstar source of the Barnes main loop that figure 4
+// annotates.
+//
+//go:embed barnes.cstar
+var barnesCstar string
+
 func runFigure4(Options) (*Result, error) {
-	src, err := os.ReadFile(findTestdata("barnes.cstar"))
-	if err != nil {
-		return nil, err
-	}
-	prog, err := lang.Parse(string(src))
+	prog, err := lang.Parse(barnesCstar)
 	if err != nil {
 		return nil, err
 	}
@@ -149,54 +151,144 @@ func runFigure4(Options) (*Result, error) {
 	return res, nil
 }
 
-// findTestdata locates the repository testdata directory from either the
-// repo root or a package directory.
-func findTestdata(name string) string {
-	for _, p := range []string{"testdata/" + name, "../../testdata/" + name, "../testdata/" + name} {
-		if _, err := os.Stat(p); err == nil {
-			return p
+// figRun is one figure configuration: an application, its variant
+// (Barnes SPMD or Water Splash), protocol and block size. A simulation is
+// a pure function of it and the Options.
+type figRun struct {
+	app     string
+	variant bool
+	proto   rt.ProtocolKind
+	bs      int
+}
+
+// figVersion is one figure row: its label and the run behind it.
+type figVersion struct {
+	label string
+	run   figRun
+}
+
+// figure5Versions are Adaptive's four bars: stache vs predictive at 32B
+// and 256B.
+var figure5Versions = []figVersion{
+	{"C** unopt (32)", figRun{"adaptive", false, rt.ProtoStache, 32}},
+	{"C** opt (32)", figRun{"adaptive", false, rt.ProtoPredictive, 32}},
+	{"C** unopt (256)", figRun{"adaptive", false, rt.ProtoStache, 256}},
+	{"C** opt (256)", figRun{"adaptive", false, rt.ProtoPredictive, 256}},
+}
+
+// figure6Versions are Barnes's five bars, including the hand-optimized
+// SPMD write-update baseline.
+var figure6Versions = []figVersion{
+	{"C** unopt (32)", figRun{"barnes", false, rt.ProtoStache, 32}},
+	{"C** opt (32)", figRun{"barnes", false, rt.ProtoPredictive, 32}},
+	{"C** unopt (1024)", figRun{"barnes", false, rt.ProtoStache, 1024}},
+	{"C** opt (1024)", figRun{"barnes", false, rt.ProtoPredictive, 1024}},
+	{"SPMD write-update (1024)", figRun{"barnes", true, rt.ProtoUpdate, 1024}},
+}
+
+// figure7Blocks are the block sizes figure 7 tries for each Water version.
+var figure7Blocks = []int{32, 128, 256}
+
+// figure7Versions sweeps each Water version over figure7Blocks, one
+// version's block sizes next to each other.
+func figure7Versions() []figVersion {
+	var out []figVersion
+	for _, v := range []struct {
+		prefix string
+		proto  rt.ProtocolKind
+		splash bool
+	}{
+		{"C** opt", rt.ProtoPredictive, false},
+		{"C** unopt", rt.ProtoStache, false},
+		{"Splash", rt.ProtoStache, true},
+	} {
+		for _, bs := range figure7Blocks {
+			out = append(out, figVersion{fmt.Sprintf("%s (%d)", v.prefix, bs), figRun{"water", v.splash, v.proto, bs}})
 		}
 	}
-	return "testdata/" + name
+	return out
+}
+
+// simulate runs one figure configuration. record turns on the profiler
+// and the communication recorder a calibration distills.
+func (o Options) simulate(r figRun, record bool) (*rt.Machine, error) {
+	stamp := func(c *rt.Config) {
+		if record {
+			c.Profile, c.Record = true, true
+		}
+	}
+	switch r.app {
+	case "adaptive":
+		c := adaptiveCfg(o, r.proto, r.bs)
+		stamp(&c.Machine)
+		res, err := adaptive.Run(c)
+		if err != nil {
+			return nil, err
+		}
+		return res.Machine, nil
+	case "barnes":
+		c := barnesCfg(o, r.proto, r.bs, r.variant)
+		stamp(&c.Machine)
+		res, err := barnes.Run(c)
+		if err != nil {
+			return nil, err
+		}
+		return res.Machine, nil
+	case "water":
+		c := waterCfg(o, r.proto, r.bs, r.variant)
+		stamp(&c.Machine)
+		res, err := water.Run(c)
+		if err != nil {
+			return nil, err
+		}
+		return res.Machine, nil
+	}
+	return nil, fmt.Errorf("no figure application %q", r.app)
+}
+
+// addRows appends one row per version to res: simulated, or under
+// Options.Predict extrapolated from one calibration per (application,
+// variant, protocol).
+func (o Options) addRows(res *Result, versions []figVersion) error {
+	if o.Predict {
+		p := predictor{}
+		for _, v := range versions {
+			cal, err := p.calibration(o, v.run)
+			if err != nil {
+				return err
+			}
+			row, err := predictedRow(cal, v.label, v.run.bs)
+			if err != nil {
+				return err
+			}
+			res.Rows = append(res.Rows, row)
+		}
+		predictNote(res, len(p))
+		return nil
+	}
+	for _, v := range versions {
+		m, err := o.simulate(v.run, false)
+		if err != nil {
+			return fmt.Errorf("%s: %w", v.label, err)
+		}
+		row := machineRow(v.label, m)
+		if err := o.attachProfile(&row, m, v.run.app); err != nil {
+			return err
+		}
+		res.Rows = append(res.Rows, row)
+	}
+	return nil
+}
+
+// machineRow is a finished machine's row.
+func machineRow(label string, m *rt.Machine) Row {
+	return Row{Label: label, BlockSize: m.Cfg.BlockSize, B: m.Breakdown(), C: m.Counters(), Phases: m.PhaseBreakdown()}
 }
 
 func runFigure5(o Options) (*Result, error) {
 	res := &Result{ID: "figure5", Title: "Adaptive, 4 versions (32 processors)"}
-	versions := []struct {
-		label string
-		proto rt.ProtocolKind
-		bs    int
-	}{
-		{"C** unopt (32)", rt.ProtoStache, 32},
-		{"C** opt (32)", rt.ProtoPredictive, 32},
-		{"C** unopt (256)", rt.ProtoStache, 256},
-		{"C** opt (256)", rt.ProtoPredictive, 256},
-	}
-	pc := newPredictor()
-	for _, v := range versions {
-		var row Row
-		if o.Predict {
-			cal, err := pc.adaptive(o, v.proto)
-			if err != nil {
-				return nil, err
-			}
-			if row, err = predictedRow(cal, v.label, v.bs); err != nil {
-				return nil, err
-			}
-		} else {
-			r, err := adaptive.Run(adaptiveCfg(o, v.proto, v.bs))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", v.label, err)
-			}
-			row = Row{Label: v.label, BlockSize: v.bs, B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown()}
-			if err := o.attachProfile(&row, r.Machine, "adaptive"); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if o.Predict {
-		predictNote(res, len(pc.cals))
+	if err := o.addRows(res, figure5Versions); err != nil {
+		return nil, err
 	}
 	bestOpt, _ := res.Best("C** opt")
 	bestUnopt, _ := res.Best("C** unopt")
@@ -211,43 +303,8 @@ func runFigure5(o Options) (*Result, error) {
 
 func runFigure6(o Options) (*Result, error) {
 	res := &Result{ID: "figure6", Title: "Barnes, 5 versions (32 processors)"}
-	versions := []struct {
-		label string
-		proto rt.ProtocolKind
-		bs    int
-		spmd  bool
-	}{
-		{"C** unopt (32)", rt.ProtoStache, 32, false},
-		{"C** opt (32)", rt.ProtoPredictive, 32, false},
-		{"C** unopt (1024)", rt.ProtoStache, 1024, false},
-		{"C** opt (1024)", rt.ProtoPredictive, 1024, false},
-		{"SPMD write-update (1024)", rt.ProtoUpdate, 1024, true},
-	}
-	pc := newPredictor()
-	for _, v := range versions {
-		var row Row
-		if o.Predict {
-			cal, err := pc.barnes(o, v.proto, v.spmd)
-			if err != nil {
-				return nil, err
-			}
-			if row, err = predictedRow(cal, v.label, v.bs); err != nil {
-				return nil, err
-			}
-		} else {
-			r, err := barnes.Run(barnesCfg(o, v.proto, v.bs, v.spmd))
-			if err != nil {
-				return nil, fmt.Errorf("%s: %w", v.label, err)
-			}
-			row = Row{Label: v.label, BlockSize: v.bs, B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown()}
-			if err := o.attachProfile(&row, r.Machine, "barnes"); err != nil {
-				return nil, err
-			}
-		}
-		res.Rows = append(res.Rows, row)
-	}
-	if o.Predict {
-		predictNote(res, len(pc.cals))
+	if err := o.addRows(res, figure6Versions); err != nil {
+		return nil, err
 	}
 	o32, _ := res.Find("C** opt (32)")
 	u32, _ := res.Find("C** unopt (32)")
@@ -262,50 +319,21 @@ func runFigure6(o Options) (*Result, error) {
 
 func runFigure7(o Options) (*Result, error) {
 	res := &Result{ID: "figure7", Title: "Water, 3 versions (32 processors)"}
-	// The paper picks each version's best block size; sweep and keep the
-	// best per version, labeling it like the paper's "(256)" annotations.
-	type version struct {
-		prefix string
-		proto  rt.ProtocolKind
-		splash bool
+	if err := o.addRows(res, figure7Versions()); err != nil {
+		return nil, err
 	}
-	versions := []version{
-		{"C** opt", rt.ProtoPredictive, false},
-		{"C** unopt", rt.ProtoStache, false},
-		{"Splash", rt.ProtoStache, true},
-	}
-	pc := newPredictor()
-	for _, v := range versions {
-		var best *Row
-		for _, bs := range []int{32, 128, 256} {
-			var row Row
-			if o.Predict {
-				cal, err := pc.water(o, v.proto, v.splash)
-				if err != nil {
-					return nil, err
-				}
-				if row, err = predictedRow(cal, fmt.Sprintf("%s (%d)", v.prefix, bs), bs); err != nil {
-					return nil, err
-				}
-			} else {
-				r, err := water.Run(waterCfg(o, v.proto, bs, v.splash))
-				if err != nil {
-					return nil, fmt.Errorf("%s(%d): %w", v.prefix, bs, err)
-				}
-				row = Row{Label: fmt.Sprintf("%s (%d)", v.prefix, bs), BlockSize: bs, B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown()}
-				if err := o.attachProfile(&row, r.Machine, "water"); err != nil {
-					return nil, err
-				}
-			}
-			if best == nil || row.Total() < best.Total() {
-				b := row
-				best = &b
+	// The paper picks each version's best block size; keep the fastest
+	// of each version's rows, labeled like the paper's "(256)".
+	all := res.Rows
+	res.Rows = nil
+	for i := 0; i < len(all); i += len(figure7Blocks) {
+		best := all[i]
+		for _, r := range all[i+1 : i+len(figure7Blocks)] {
+			if r.Total() < best.Total() {
+				best = r
 			}
 		}
-		res.Rows = append(res.Rows, *best)
-	}
-	if o.Predict {
-		predictNote(res, len(pc.cals))
+		res.Rows = append(res.Rows, best)
 	}
 	opt, _ := res.Best("C** opt")
 	unopt, _ := res.Best("C** unopt")
@@ -340,12 +368,7 @@ func runInspector(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			res.Rows = append(res.Rows, Row{
-				Label:     fmt.Sprintf("%s mesh, %s", mesh.tag, strat),
-				BlockSize: base.Machine.BlockSize,
-				B:         r.Breakdown, C: r.Counters,
-				Phases: r.Machine.PhaseBreakdown(),
-			})
+			res.Rows = append(res.Rows, machineRow(fmt.Sprintf("%s mesh, %s", mesh.tag, strat), r.Machine))
 		}
 	}
 	ps, _ := res.Find("static mesh, predictive")
@@ -361,37 +384,14 @@ func runInspector(o Options) (*Result, error) {
 
 func runSweep(o Options) (*Result, error) {
 	res := &Result{ID: "sweep", Title: "Block-size sweep (Water), unopt vs opt"}
-	pc := newPredictor()
+	var versions []figVersion
 	for _, bs := range []int{32, 64, 128, 256, 1024} {
-		for _, v := range []struct {
-			label string
-			proto rt.ProtocolKind
-		}{{"unopt", rt.ProtoStache}, {"opt", rt.ProtoPredictive}} {
-			label := fmt.Sprintf("water %s (%d)", v.label, bs)
-			if o.Predict {
-				cal, err := pc.water(o, v.proto, false)
-				if err != nil {
-					return nil, err
-				}
-				row, err := predictedRow(cal, label, bs)
-				if err != nil {
-					return nil, err
-				}
-				res.Rows = append(res.Rows, row)
-				continue
-			}
-			r, err := water.Run(waterCfg(o, v.proto, bs, false))
-			if err != nil {
-				return nil, err
-			}
-			res.Rows = append(res.Rows, Row{
-				Label: label, BlockSize: bs,
-				B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown(),
-			})
-		}
+		versions = append(versions,
+			figVersion{fmt.Sprintf("water unopt (%d)", bs), figRun{"water", false, rt.ProtoStache, bs}},
+			figVersion{fmt.Sprintf("water opt (%d)", bs), figRun{"water", false, rt.ProtoPredictive, bs}})
 	}
-	if o.Predict {
-		predictNote(res, len(pc.cals))
+	if err := o.addRows(res, versions); err != nil {
+		return nil, err
 	}
 	res.AddNote("pre-send benefit is largest at the smallest blocks; large blocks close the gap by exploiting spatial locality (paper §5.4)")
 	return res, nil
@@ -424,7 +424,7 @@ func runPlatforms(o Options) (*Result, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := Row{Label: fmt.Sprintf("%s %s", pl.tag, v.label), BlockSize: 32, B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown()}
+			row := machineRow(fmt.Sprintf("%s %s", pl.tag, v.label), r.Machine)
 			res.Rows = append(res.Rows, row)
 			if v.label == "unopt" {
 				pr.unopt = row
@@ -454,8 +454,7 @@ func runAblateCoalesce(o Options) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := Row{Label: v.label, BlockSize: 32, B: r.Breakdown, C: r.Counters, Phases: r.Machine.PhaseBreakdown()}
-		res.Rows = append(res.Rows, row)
+		res.Rows = append(res.Rows, machineRow(v.label, r.Machine))
 	}
 	on := res.Rows[0]
 	off := res.Rows[1]
@@ -494,7 +493,7 @@ func runAblateConflicts(o Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		res.Rows = append(res.Rows, Row{Label: label, BlockSize: 64, B: m.Breakdown(), C: m.Counters(), Phases: m.PhaseBreakdown()})
+		res.Rows = append(res.Rows, machineRow(label, m))
 		return nil
 	}
 	if err := run("conflicts not pre-sent (paper)", false); err != nil {
@@ -548,7 +547,7 @@ func runAblateFlush(o Options) (*Result, error) {
 		if err != nil {
 			return err
 		}
-		res.Rows = append(res.Rows, Row{Label: label, BlockSize: 32, B: m.Breakdown(), C: m.Counters(), Phases: m.PhaseBreakdown()})
+		res.Rows = append(res.Rows, machineRow(label, m))
 		return nil
 	}
 	if err := run("never flush (paper default)", 0, 0); err != nil {

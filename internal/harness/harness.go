@@ -61,8 +61,9 @@ type Options struct {
 	// curve) override it per row.
 	Aggregate bool
 	// Profile enables the causal profiler on every machine an experiment
-	// builds; figure rows then carry a validated attribution profile
-	// (rendered after the phase table and exported in the JSON results).
+	// builds; figure 5-7 and sweep rows then carry a validated attribution
+	// profile (rendered after the phase table and exported in the JSON
+	// results).
 	Profile bool
 	// Predict switches the figure 5-7 and sweep experiments onto the
 	// analytical fast path (internal/predict): one recorded calibration

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 
+	"presto/internal/causal"
 	"presto/internal/predict"
 	"presto/internal/rt"
 )
@@ -26,6 +27,8 @@ type rowJSON struct {
 	BulkMsgs     int64          `json:"bulk_msgs"`
 	Conflicts    int64          `json:"conflicts"`
 	Phases       []rt.PhaseStat `json:"phases,omitempty"`
+	// Profile is the row's causal attribution (Options.Profile only).
+	Profile *causal.Profile `json:"profile,omitempty"`
 }
 
 // resultJSON is one experiment's machine-readable record.
@@ -61,6 +64,7 @@ func (res *Result) toJSON() resultJSON {
 			BulkMsgs:     r.C.BulkMsgs,
 			Conflicts:    r.C.Conflicts,
 			Phases:       r.Phases,
+			Profile:      r.Profile,
 		})
 	}
 	return out

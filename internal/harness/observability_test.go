@@ -137,4 +137,40 @@ func TestWriteJSON(t *testing.T) {
 	if r.Label != "v1" || r.BlockBytes != 64 || len(r.Phases) != 1 || r.Phases[0].PresendHits != 2 {
 		t.Fatalf("row = %+v", r)
 	}
+	// A row without a profile encodes no profile key at all, so JSON
+	// from a run without Options.Profile keeps its bytes.
+	if bytes.Contains(buf.Bytes(), []byte(`"profile"`)) {
+		t.Fatalf("unprofiled row encodes a profile:\n%s", buf.String())
+	}
+}
+
+// TestProfileInJSON: under Options.Profile every figure row's JSON
+// carries its causal attribution profile.
+func TestProfileInJSON(t *testing.T) {
+	e, _ := ByID("figure5")
+	res, err := RunExperiment(e, Options{Scale: Quick, Profile: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := res.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var doc struct {
+		Rows []struct {
+			Label   string          `json:"label"`
+			Profile json.RawMessage `json:"profile"`
+		} `json:"rows"`
+	}
+	if err := json.Unmarshal(b, &doc); err != nil {
+		t.Fatal(err)
+	}
+	if len(doc.Rows) != len(figure5Versions) {
+		t.Fatalf("%d rows, want %d", len(doc.Rows), len(figure5Versions))
+	}
+	for _, r := range doc.Rows {
+		if len(r.Profile) == 0 || string(r.Profile) == "null" {
+			t.Errorf("%s: row JSON has no profile", r.Label)
+		}
+	}
 }

@@ -3,11 +3,7 @@ package harness
 import (
 	"fmt"
 
-	"presto/internal/apps/adaptive"
-	"presto/internal/apps/barnes"
-	"presto/internal/apps/water"
 	"presto/internal/predict"
-	"presto/internal/rt"
 )
 
 // predictCalBS is the block size every calibration simulation runs at.
@@ -15,75 +11,29 @@ import (
 // two), which covers every block size the figure experiments sweep.
 const predictCalBS = 32
 
-// predictor caches one calibration per (application, protocol, variant)
-// so a figure experiment's block-size sweep — or the whole predict-error
-// table — pays for each calibration simulation exactly once.
-type predictor struct {
-	cals map[string]*predict.Calibration
-}
+// predictor caches one calibration per (application, variant, protocol),
+// keyed by the figRun at predictCalBS, so a figure's block-size sweep —
+// or the whole predict-error table — pays for each calibration simulation
+// exactly once.
+type predictor map[figRun]*predict.Calibration
 
-func newPredictor() *predictor {
-	return &predictor{cals: map[string]*predict.Calibration{}}
-}
-
-// calibration runs (or reuses) one recorded calibration simulation and
-// distills it. build must run the application at predictCalBS with the
-// profiler and recorder enabled.
-func (p *predictor) calibration(key, app string, build func() (*rt.Machine, error)) (*predict.Calibration, error) {
-	if cal, ok := p.cals[key]; ok {
+// calibration runs (or reuses) the recorded calibration simulation of r's
+// program at predictCalBS and distills it.
+func (p predictor) calibration(o Options, r figRun) (*predict.Calibration, error) {
+	r.bs = predictCalBS
+	if cal, ok := p[r]; ok {
 		return cal, nil
 	}
-	m, err := build()
-	if err != nil {
-		return nil, fmt.Errorf("calibrating %s: %w", key, err)
+	m, err := o.simulate(r, true)
+	var cal *predict.Calibration
+	if err == nil {
+		cal, err = predict.Calibrate(m, r.app)
 	}
-	cal, err := predict.Calibrate(m, app)
 	if err != nil {
-		return nil, fmt.Errorf("calibrating %s: %w", key, err)
+		return nil, fmt.Errorf("calibrating %s/%s (variant %v): %w", r.app, r.proto, r.variant, err)
 	}
-	p.cals[key] = cal
+	p[r] = cal
 	return cal, nil
-}
-
-func (p *predictor) adaptive(o Options, proto rt.ProtocolKind) (*predict.Calibration, error) {
-	return p.calibration("adaptive/"+string(proto), "adaptive", func() (*rt.Machine, error) {
-		cfg := adaptiveCfg(o, proto, predictCalBS)
-		cfg.Machine.Profile = true
-		cfg.Machine.Record = true
-		r, err := adaptive.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Machine, nil
-	})
-}
-
-func (p *predictor) barnes(o Options, proto rt.ProtocolKind, spmd bool) (*predict.Calibration, error) {
-	key := fmt.Sprintf("barnes/%s/spmd=%v", proto, spmd)
-	return p.calibration(key, "barnes", func() (*rt.Machine, error) {
-		cfg := barnesCfg(o, proto, predictCalBS, spmd)
-		cfg.Machine.Profile = true
-		cfg.Machine.Record = true
-		r, err := barnes.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Machine, nil
-	})
-}
-
-func (p *predictor) water(o Options, proto rt.ProtocolKind, splash bool) (*predict.Calibration, error) {
-	key := fmt.Sprintf("water/%s/splash=%v", proto, splash)
-	return p.calibration(key, "water", func() (*rt.Machine, error) {
-		cfg := waterCfg(o, proto, predictCalBS, splash)
-		cfg.Machine.Profile = true
-		cfg.Machine.Record = true
-		r, err := water.Run(cfg)
-		if err != nil {
-			return nil, err
-		}
-		return r.Machine, nil
-	})
 }
 
 // predictedRow extrapolates one figure row from a calibration. At the
@@ -125,98 +75,6 @@ func init() {
 	})
 }
 
-// figureTargets enumerates every figure 5-7 (version, block size)
-// configuration the predictor must reproduce, keyed by the calibration it
-// extrapolates from.
-type figureTarget struct {
-	experiment string
-	label      string
-	bs         int
-	cal        func(*predictor, Options) (*predict.Calibration, error)
-	sim        func(Options) (rt.Breakdown, error)
-}
-
-func figureTargets() []figureTarget {
-	var out []figureTarget
-	// Figure 5: Adaptive, stache vs predictive at 32B and 256B.
-	for _, v := range []struct {
-		label string
-		proto rt.ProtocolKind
-		bs    int
-	}{
-		{"C** unopt (32)", rt.ProtoStache, 32},
-		{"C** opt (32)", rt.ProtoPredictive, 32},
-		{"C** unopt (256)", rt.ProtoStache, 256},
-		{"C** opt (256)", rt.ProtoPredictive, 256},
-	} {
-		v := v
-		out = append(out, figureTarget{
-			experiment: "figure5", label: v.label, bs: v.bs,
-			cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.adaptive(o, v.proto) },
-			sim: func(o Options) (rt.Breakdown, error) {
-				r, err := adaptive.Run(adaptiveCfg(o, v.proto, v.bs))
-				if err != nil {
-					return rt.Breakdown{}, err
-				}
-				return r.Breakdown, nil
-			},
-		})
-	}
-	// Figure 6: Barnes, including the hand-optimized SPMD write-update bar.
-	for _, v := range []struct {
-		label string
-		proto rt.ProtocolKind
-		bs    int
-		spmd  bool
-	}{
-		{"C** unopt (32)", rt.ProtoStache, 32, false},
-		{"C** opt (32)", rt.ProtoPredictive, 32, false},
-		{"C** unopt (1024)", rt.ProtoStache, 1024, false},
-		{"C** opt (1024)", rt.ProtoPredictive, 1024, false},
-		{"SPMD write-update (1024)", rt.ProtoUpdate, 1024, true},
-	} {
-		v := v
-		out = append(out, figureTarget{
-			experiment: "figure6", label: v.label, bs: v.bs,
-			cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.barnes(o, v.proto, v.spmd) },
-			sim: func(o Options) (rt.Breakdown, error) {
-				r, err := barnes.Run(barnesCfg(o, v.proto, v.bs, v.spmd))
-				if err != nil {
-					return rt.Breakdown{}, err
-				}
-				return r.Breakdown, nil
-			},
-		})
-	}
-	// Figure 7: Water sweeps each version over three block sizes.
-	for _, v := range []struct {
-		prefix string
-		proto  rt.ProtocolKind
-		splash bool
-	}{
-		{"C** opt", rt.ProtoPredictive, false},
-		{"C** unopt", rt.ProtoStache, false},
-		{"Splash", rt.ProtoStache, true},
-	} {
-		v := v
-		for _, bs := range []int{32, 128, 256} {
-			bs := bs
-			out = append(out, figureTarget{
-				experiment: "figure7", label: fmt.Sprintf("%s (%d)", v.prefix, bs), bs: bs,
-				cal: func(p *predictor, o Options) (*predict.Calibration, error) { return p.water(o, v.proto, v.splash) },
-				sim: func(o Options) (rt.Breakdown, error) {
-					r, err := water.Run(waterCfg(o, v.proto, bs, v.splash))
-					if err != nil {
-						return rt.Breakdown{}, err
-					}
-					return r.Breakdown, nil
-				},
-			})
-		}
-	}
-	return out
-}
-
 // runPredictError validates the analytical predictor against full
 // simulation on every figure 5-7 configuration: one calibration per
 // (program, protocol, variant), one simulation per target, one error row
@@ -243,22 +101,27 @@ func runPredictError(o Options) (*Result, error) {
 // (the other half is the chaos seed band, predict.ChaosBandShifts).
 func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
 	o = o.withDefaults()
-	p := newPredictor()
+	p := predictor{}
 	table := &predict.ErrorTable{}
-	for _, t := range figureTargets() {
-		cal, err := t.cal(p, o)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", t.experiment, t.label, err)
+	for _, fig := range []struct {
+		id       string
+		versions []figVersion
+	}{{"figure5", figure5Versions}, {"figure6", figure6Versions}, {"figure7", figure7Versions()}} {
+		for _, v := range fig.versions {
+			cal, err := p.calibration(o, v.run)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", fig.id, v.label, err)
+			}
+			pred, err := cal.Predict(predict.Target{BlockSize: v.run.bs})
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: %w", fig.id, v.label, err)
+			}
+			m, err := o.simulate(v.run, false)
+			if err != nil {
+				return nil, fmt.Errorf("%s %s: simulating: %w", fig.id, v.label, err)
+			}
+			table.Add(fig.id, v.label, v.run.bs, pred.ElapsedNS, int64(m.Elapsed()))
 		}
-		pred, err := cal.Predict(predict.Target{BlockSize: t.bs})
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: %w", t.experiment, t.label, err)
-		}
-		bd, err := t.sim(o)
-		if err != nil {
-			return nil, fmt.Errorf("%s %s: simulating: %w", t.experiment, t.label, err)
-		}
-		table.Add(t.experiment, t.label, t.bs, pred.ElapsedNS, int64(bd.Elapsed))
 	}
 	return table, nil
 }

@@ -164,6 +164,7 @@ func testPrograms(t testing.TB) map[string]string {
 	if err != nil || len(paths) == 0 {
 		t.Fatalf("no testdata programs: %v", err)
 	}
+	paths = append(paths, "../harness/barnes.cstar") // figure 4's program
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {

@@ -18,6 +18,7 @@ func FuzzParse(f *testing.F) {
 	if len(paths) == 0 {
 		f.Fatal("no .cstar seeds under testdata/")
 	}
+	paths = append(paths, filepath.Join("..", "harness", "barnes.cstar")) // figure 4's program
 	for _, p := range paths {
 		src, err := os.ReadFile(p)
 		if err != nil {
