@@ -103,6 +103,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dsmrun: -predict calibrates at most %d nodes, not %d\n", predict.MaxNodes, mc.Nodes)
 		os.Exit(2)
 	}
+	if *predictFlag && (mc.BlockSize < calBlock || mc.BlockSize > calBlock<<predict.MaxShift) {
+		fmt.Fprintf(os.Stderr, "dsmrun: -predict extrapolates its %dB calibration to %d-%d B blocks (%d<<0..%d<<%d), not %d\n",
+			calBlock, calBlock, calBlock<<predict.MaxShift, calBlock, calBlock, predict.MaxShift, mc.BlockSize)
+		os.Exit(2)
+	}
 
 	stopProf = prof.Start(*cpuprofile, *memprofile)
 	defer stopProf()
@@ -279,13 +284,16 @@ func (a appRun) run(mc rt.Config) (*rt.Machine, string, error) {
 	return nil, "", errUnknownApp
 }
 
+// calBlock is the block size -predict calibrates at: the predictor's base.
+const calBlock = 32
+
 // predictReport validates the analytical fast path against the run that
 // just finished: it records a calibration of the same configuration at
 // the predictor's 32B base block size, extrapolates to the requested
 // block size, and prints the error table plus the predicted breakdown.
 func predictReport(a appRun, mc rt.Config, simulated rt.Breakdown) error {
 	cc := mc
-	cc.BlockSize = 32
+	cc.BlockSize = calBlock
 	cc.Profile, cc.Record = true, true
 	cc.Sink = nil
 

@@ -75,6 +75,17 @@ func TestBadFlagsExitTwo(t *testing.T) {
 	}
 }
 
+// TestPredictBlockOutOfRange: -predict rejects a block size its 32B
+// calibration cannot reach before simulating anything.
+func TestPredictBlockOutOfRange(t *testing.T) {
+	for _, block := range []string{"16", "4096"} {
+		code, stdout, stderr := run(t, "-app adaptive -predict -nodes 16 -size 64 -iters 30 -block "+block)
+		if want := "32-2048 B blocks (32<<0..32<<6), not " + block; code != 2 || stdout != "" || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {
+			t.Errorf("-block %s: exit %d, stdout %q, stderr %q; want exit 2, no output and one line containing %q", block, code, stdout, stderr, want)
+		}
+	}
+}
+
 func TestTinyRun(t *testing.T) {
 	code, stdout, stderr := run(t, "-app water -protocol predictive -nodes 4 -size 16 -iters 2 -engine parallel -workers 2")
 	if code != 0 {

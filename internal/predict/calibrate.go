@@ -8,11 +8,14 @@ import (
 	"presto/internal/causal"
 	"presto/internal/memory"
 	"presto/internal/rt"
+	"presto/internal/tempest"
 )
 
 // Calibrate distills a completed calibration run — a machine executed
 // with rt.Config.Profile and rt.Config.Record both enabled — into the
 // analytical model's tables. The machine must have finished its Run.
+// It closes each node's last record slice and otherwise only reads the
+// record, so calibrating again gives the same tables.
 func Calibrate(m *rt.Machine, app string) (*Calibration, error) {
 	if m.Cfg.Nodes > MaxNodes {
 		return nil, fmt.Errorf("predict: calibration at %d nodes exceeds the %d-node bound", m.Cfg.Nodes, MaxNodes)
@@ -139,20 +142,10 @@ func (c *Calibration) setHomes(faultHome [][]int64) {
 	}
 }
 
-// segAccess is one access of a node's barrier segment, in compressed
-// (stall-free) node-local time.
-type segAccess struct {
-	dt    int64  // compute-time offset from the segment's first access
-	bi    uint32 // index into the dense unique-block table
-	pi    int32  // phase index into c.phases
-	write bool
-}
-
-// nodeSeg is one node's trace slice between two barrier crossings (a
-// (phase, iteration) episode), with recorded stalls compressed out.
+// nodeSeg is one node's recorded slice of a barrier segment.
 type nodeSeg struct {
 	node int32
-	accs []segAccess
+	s    *tempest.Slice
 }
 
 // globalSeg groups the nodes' slices of one barrier segment. Segments
@@ -160,6 +153,7 @@ type nodeSeg struct {
 // interleaving from compressed compute time plus replay-incurred stalls.
 type globalSeg struct {
 	minAt int64
+	pi    int32 // phase index into c.phases
 	nodes []nodeSeg
 }
 
@@ -239,69 +233,42 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 		phaseIdx[int32(c.phases[pi].id)] = int32(pi)
 	}
 
-	// Slice each node's trace into barrier segments — one (phase,
-	// iteration) episode per slice, with recorded stalls compressed out —
-	// and group the slices globally.
-	type instKey struct {
-		phase, iter, occ int32
-	}
+	// Group the nodes' recorded slices into global barrier segments, keyed
+	// by (phase, iteration, occurrence), and concatenate the nodes' block
+	// tables into one: node n's local block u is blocks[nodeOff[n]+u].
+	// Nodes in order, each node's blocks in first-access order, is the
+	// machine-wide first-seen order that fixes each coarse group's home.
+	type instKey struct{ phase, iter, occ int32 }
 	segMap := map[instKey]*globalSeg{}
-	// Dense unique-block table: the hot replay loop below runs once per
-	// shift over every access, so block identity resolves through one map
-	// pass here instead of a hash lookup per access per shift.
-	blockIdx := map[uint64]uint32{}
-	var blocks []uint64
+	nodeOff := make([]uint32, n0)
+	var blocks []memory.Block
 	for n, node := range m.Nodes {
 		if node.Rec == nil {
 			return fmt.Errorf("predict: node %d has no communication record", n)
 		}
-		accs := node.Rec.Accesses
+		node.Rec.CloseSlice()
+		nodeOff[n] = uint32(len(blocks))
+		blocks = append(blocks, node.Rec.Blocks...)
 		occ := map[[2]int32]int32{}
-		for i := 0; i < len(accs); {
-			ph, it := accs[i].Phase, accs[i].Iter
-			j := i
-			for j < len(accs) && accs[j].Phase == ph && accs[j].Iter == it {
-				j++
-			}
-			pk := [2]int32{ph, it}
-			key := instKey{ph, it, occ[pk]}
+		for i := range node.Rec.Slices {
+			s := &node.Rec.Slices[i]
+			pk := [2]int32{s.Phase, s.Iter}
+			key := instKey{s.Phase, s.Iter, occ[pk]}
 			occ[pk]++
 			gs := segMap[key]
 			if gs == nil {
-				gs = &globalSeg{minAt: int64(accs[i].At)}
+				// An unprofiled phase misses phaseIdx and folds into index 0, (outside).
+				gs = &globalSeg{minAt: int64(s.First), pi: phaseIdx[s.Phase]}
 				segMap[key] = gs
-			} else if int64(accs[i].At) < gs.minAt {
-				gs.minAt = int64(accs[i].At)
+			} else if int64(s.First) < gs.minAt {
+				gs.minAt = int64(s.First)
 			}
-			pi, ok := phaseIdx[ph]
-			if !ok {
-				pi = 0 // unprofiled phase: fold into (outside)
-			}
-			ns := nodeSeg{node: int32(n)}
-			ns.accs = make([]segAccess, j-i)
-			base := int64(accs[i].At) - int64(accs[i].StallCum)
-			for x := i; x < j; x++ {
-				blk := uint64(accs[x].Block)
-				bi, ok := blockIdx[blk]
-				if !ok {
-					bi = uint32(len(blocks))
-					blockIdx[blk] = bi
-					blocks = append(blocks, blk)
-				}
-				ns.accs[x-i] = segAccess{
-					dt:    int64(accs[x].At) - int64(accs[x].StallCum) - base,
-					bi:    bi,
-					pi:    pi,
-					write: accs[x].Write,
-				}
-			}
-			gs.nodes = append(gs.nodes, ns)
-			i = j
+			gs.nodes = append(gs.nodes, nodeSeg{node: int32(n), s: s})
 		}
 	}
+	// Each segment's slices are in ascending node order, as appended.
 	ordered := make([]*globalSeg, 0, len(segMap))
 	for _, gs := range segMap {
-		sort.Slice(gs.nodes, func(i, j int) bool { return gs.nodes[i].node < gs.nodes[j].node })
 		ordered = append(ordered, gs)
 	}
 	sort.Slice(ordered, func(i, j int) bool {
@@ -327,26 +294,30 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 	}
 
 	clocks := make([]int64, n0)
+	// Per merge slot: next access, next escaped gap, compressed offset.
 	idx := make([]int, n0)
+	esc := make([]int, n0)
+	off := make([]int64, n0)
 	stallAdj := make([]int64, n0)
 	merge := mergeHeap{at: make([]int64, n0)}
 	spanAcc := make([]int64, np)          // per phase: sum of segment spans
 	busyAcc := make([]int64, np*n0)       // per (phase,node): total busy
-	coarse := make([]uint32, len(blocks)) // unique block -> coarse index
+	coarse := make([]uint32, len(blocks)) // [nodeOff[n]+u] -> coarse index
 	chome := make([]int32, 0, len(blocks))
 	cmap := map[uint64]uint32{}
 	var written []uint32
 	for k := 0; k <= MaxShift; k++ {
 		sh := shift0 + uint(k)
 		b1 := c.BlockSize << k
-		// Map each unique calibration block onto its coarse group for
-		// this shift and resolve the group's home once — the home of the
+		// Map each calibration block onto its coarse group for this
+		// shift and resolve the group's home once — the home of the
 		// coarse block's first constituent in the calibration address
 		// space (the home function is the application's; this is the
 		// closest stand-in for the target geometry's assignment).
 		clear(cmap)
 		chome = chome[:0]
-		for u, blk := range blocks {
+		for u, b := range blocks {
+			blk := uint64(b)
 			// Block-padded regions re-pad per element at every block
 			// size — coarsening can never merge their accesses, so they
 			// group by element (and keep their calibration home). Other
@@ -398,7 +369,7 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 			// ascending order already form the heap.
 			merge.slots = merge.slots[:0]
 			for si := range gs.nodes {
-				idx[si], stallAdj[si] = 0, 0
+				idx[si], esc[si], off[si], stallAdj[si] = 0, 0, 0, 0
 				merge.at[si] = segStart
 				merge.slots = append(merge.slots, int32(si))
 			}
@@ -411,10 +382,12 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 				best := int(merge.slots[0])
 				bt := merge.at[best]
 				ns := &gs.nodes[best]
-				a := &ns.accs[idx[best]]
+				accs := ns.s.Accs
+				ref := accs[idx[best]].Ref
+				write := ref&1 != 0
 				idx[best]++
 
-				ci := coarse[a.bi]
+				ci := coarse[nodeOff[ns.node]+ref>>1]
 				home := chome[ci]
 				st := &state[ci]
 				bit := uint64(1) << ns.node
@@ -427,7 +400,7 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 						fault = true
 						st.sharers |= bit
 					}
-				} else if a.write {
+				} else if write {
 					if st.owner != ns.node && !inGrace {
 						fault = true
 						g := st.sharers
@@ -465,17 +438,19 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 					lam := int64(lambda(c.Net, b1, int(ns.node), int(home)))
 					stallAdj[best] += lam
 					st.graceUntil = bt + lam
-					fInt[k][int(a.pi)*n0+int(ns.node)]++
-					hInt[k][(int(a.pi)*n0+int(ns.node))*n0+int(home)]++
-					qInt[k][int(a.pi)*n0+int(ns.node)] += lam
-					if a.write {
+					row := int(gs.pi)*n0 + int(ns.node)
+					fInt[k][row]++
+					hInt[k][row*n0+int(home)]++
+					qInt[k][row] += lam
+					if write {
 						wInt[k]++
 					} else {
 						rInt[k]++
 					}
 				}
-				if idx[best] < len(ns.accs) {
-					merge.at[best] = segStart + ns.accs[idx[best]].dt + stallAdj[best]
+				if i := idx[best]; i < len(accs) {
+					off[best] += ns.s.Gap(i, &esc[best])
+					merge.at[best] = segStart + off[best] + stallAdj[best]
 				} else {
 					merge.slots[0] = merge.slots[len(merge.slots)-1]
 					merge.slots = merge.slots[:len(merge.slots)-1]
@@ -496,13 +471,10 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 			// them is the alternating-straggler slack that barriers
 			// absorb. Its ratio across shifts drives slack prediction.
 			var segSpan int64
-			pi := int(gs.nodes[0].accs[0].pi)
+			pi := int(gs.pi)
 			for si := range gs.nodes {
 				ns := &gs.nodes[si]
-				if len(ns.accs) == 0 {
-					continue
-				}
-				busy := ns.accs[len(ns.accs)-1].dt + stallAdj[si]
+				busy := ns.s.Span + stallAdj[si]
 				end := segStart + busy
 				if end > clocks[ns.node] {
 					clocks[ns.node] = end

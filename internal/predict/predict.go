@@ -4,9 +4,11 @@
 // presets — no event simulation (ROADMAP item 4, after PPT-Multicore).
 //
 // A calibration run executes with both the causal profiler
-// (rt.Config.Profile) and the communication recorder (rt.Config.Record)
-// enabled. Calibrate distills it into per-(phase, node) attribution
-// buckets plus conflict-aware per-block-size fault and pre-send counts;
+// (rt.Config.Profile) and the communication recorder (rt.Config.Record,
+// which slices each node's accesses into (phase, iteration) episodes as
+// it records them) enabled. Calibrate replays the slices in place into
+// per-(phase, node) attribution buckets plus conflict-aware
+// per-block-size fault and pre-send counts;
 // Predict then rescales each bucket by analytically derived cost ratios
 // and recombines per-phase critical spans into an elapsed-time estimate.
 // The model is exact at the calibration point — predicting the

@@ -6,11 +6,14 @@ import (
 	"hash/fnv"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"presto/internal/apps/adaptive"
 	"presto/internal/chaos"
+	"presto/internal/memory"
 	"presto/internal/network"
 	"presto/internal/rt"
+	"presto/internal/tempest"
 )
 
 // calSpec derives a chaos workload pinned to the predictor's calibration
@@ -183,7 +186,8 @@ func TestChaosBandSmoke(t *testing.T) {
 // grid — node counts 2..37 × {cm5, now, hwdsm, cluster:4x8} × shifts
 // 0..MaxShift — from small recorded Adaptive calibrations, one per
 // protocol. Any change to the calibration replay's merge order (including
-// its tie-break) or to the model's arithmetic moves a digest.
+// its tie-break) or to the model's arithmetic moves a digest. Each machine
+// is calibrated twice: calibration must leave the record as it found it.
 func TestSweepDigest(t *testing.T) {
 	want := map[rt.ProtocolKind]string{
 		rt.ProtoStache:     "bec89263e5adfaf5",
@@ -206,33 +210,65 @@ func TestSweepDigest(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cal, err := Calibrate(r.Machine, "adaptive")
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := fnv.New64a()
-		for n := 2; n <= 37; n++ {
-			for _, net := range nets {
-				for k := 0; k <= MaxShift; k++ {
-					tg := Target{BlockSize: 32 << k, Net: net, Nodes: n}
-					p, err := cal.Predict(tg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					fc, err := cal.Phases(tg)
-					if err != nil {
-						t.Fatal(err)
-					}
-					binary.Write(h, binary.LittleEndian, p)
-					for _, f := range fc {
-						binary.Write(h, binary.LittleEndian, [2]int64{int64(f.Phase), f.SpanNS})
+		for pass := 1; pass <= 2; pass++ {
+			cal, err := Calibrate(r.Machine, "adaptive")
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := fnv.New64a()
+			for n := 2; n <= 37; n++ {
+				for _, net := range nets {
+					for k := 0; k <= MaxShift; k++ {
+						tg := Target{BlockSize: 32 << k, Net: net, Nodes: n}
+						p, err := cal.Predict(tg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						fc, err := cal.Phases(tg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						binary.Write(h, binary.LittleEndian, p)
+						for _, f := range fc {
+							binary.Write(h, binary.LittleEndian, [2]int64{int64(f.Phase), f.SpanNS})
+						}
 					}
 				}
 			}
+			if got := fmt.Sprintf("%016x", h.Sum64()); got != want[proto] {
+				t.Errorf("%s, calibration %d: sweep digest %s, want %s", proto, pass, got, want[proto])
+			}
 		}
-		if got := fmt.Sprintf("%016x", h.Sum64()); got != want[proto] {
-			t.Errorf("%s: sweep digest %s, want %s", proto, got, want[proto])
+	}
+}
+
+// TestRecordBytesPerAccess bounds the calibration record of a quick-scale
+// Adaptive run (the predict-sweep benchmark's calibration) at 9 bytes per
+// access, counting every slice's and block table's capacity, and the
+// block index map at an upper estimate of 48 bytes per entry.
+func TestRecordBytesPerAccess(t *testing.T) {
+	r, err := adaptive.Run(adaptive.Config{
+		Machine: rt.Config{Nodes: 16, BlockSize: 32, Protocol: rt.ProtoStache, Profile: true, Record: true},
+		Size:    64, Iters: 30, RefineEvery: 4,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bytes, accs uintptr
+	for _, n := range r.Machine.Nodes {
+		rec := n.Rec
+		rec.CloseSlice() // as Calibrate does
+		bytes += uintptr(cap(rec.Slices))*unsafe.Sizeof(tempest.Slice{}) +
+			uintptr(cap(rec.Blocks))*unsafe.Sizeof(memory.Block(0)) + uintptr(len(rec.Blocks))*48
+		for _, s := range rec.Slices {
+			bytes += uintptr(cap(s.Accs))*unsafe.Sizeof(tempest.SliceAcc{}) + uintptr(cap(s.Big))*8
+			accs += uintptr(len(s.Accs))
 		}
+	}
+	perAcc := float64(bytes) / float64(accs)
+	t.Logf("%d accesses, %.2f B/access", accs, perAcc)
+	if perAcc > 9 {
+		t.Fatalf("record keeps %.2f B per access, want <= 9", perAcc)
 	}
 }
 

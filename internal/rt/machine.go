@@ -130,10 +130,12 @@ type Config struct {
 	// critical path and attribution report after the run. Simulated
 	// results (fingerprints, metrics, goldens) are identical either way.
 	Profile bool
-	// Record attaches a communication recorder to every node, capturing
-	// per-phase fault/pre-send/traffic schedules for the analytical
-	// predictor (internal/predict). Observation only: simulated results
-	// are identical either way.
+	// Record attaches a communication recorder (tempest.CommRecord) to
+	// every node for the analytical predictor (internal/predict): each
+	// node's shared accesses, sliced into (phase, iteration) episodes as
+	// they are recorded at about 8 bytes an access, plus its pre-send
+	// arrivals. Observation only: simulated results are identical either
+	// way.
 	Record bool
 }
 

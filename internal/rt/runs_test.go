@@ -12,6 +12,7 @@ import (
 	"presto/internal/memory"
 	"presto/internal/rt"
 	"presto/internal/sim"
+	"presto/internal/tempest"
 )
 
 // runsProg is the differential workload for the block-run accessors. Each
@@ -105,10 +106,10 @@ func runsProg(m *rt.Machine, runs bool, sums []float64) rt.Program {
 
 // runsOutcome is everything a run must reproduce exactly.
 type runsOutcome struct {
-	Hash     uint64
-	Report   []byte
-	Sums     []float64
-	Accesses [][]byte
+	Hash   uint64
+	Report []byte
+	Sums   []float64
+	Record [][]byte
 }
 
 func runRuns(t *testing.T, cfg rt.Config, runs bool) runsOutcome {
@@ -125,11 +126,15 @@ func runRuns(t *testing.T, cfg rt.Config, runs bool) runsOutcome {
 	out := runsOutcome{Hash: m.HashMemory(), Report: rep, Sums: sums}
 	if cfg.Record {
 		for _, n := range m.Nodes {
-			b, err := json.Marshal(n.Rec.Accesses)
+			n.Rec.CloseSlice()
+			b, err := json.Marshal(struct {
+				Slices []tempest.Slice
+				Blocks []memory.Block
+			}{n.Rec.Slices, n.Rec.Blocks})
 			if err != nil {
 				t.Fatal(err)
 			}
-			out.Accesses = append(out.Accesses, b)
+			out.Record = append(out.Record, b)
 		}
 	}
 	return out
@@ -138,7 +143,8 @@ func runRuns(t *testing.T, cfg rt.Config, runs bool) runsOutcome {
 // TestRunAccessorsMatchWordLoop: a block-run accessor is exactly its
 // per-word loop — same memory, breakdown, counters, phase statistics,
 // kernel statistics and metrics registry, and under recording the same
-// access trace — over every block size, protocol and engine.
+// sliced access trace and block tables — over every block size, protocol
+// and engine.
 func TestRunAccessorsMatchWordLoop(t *testing.T) {
 	for _, bs := range []int{16, 32, 64, 1024} {
 		for _, proto := range []rt.ProtocolKind{rt.ProtoStache, rt.ProtoPredictive, rt.ProtoUpdate} {
@@ -159,8 +165,8 @@ func TestRunAccessorsMatchWordLoop(t *testing.T) {
 						if !bytes.Equal(word.Report, run.Report) {
 							t.Errorf("metrics report diverges from per-word:\n%s\nvs\n%s", run.Report, word.Report)
 						}
-						if !reflect.DeepEqual(word.Accesses, run.Accesses) {
-							t.Error("recorded access trace diverges from per-word")
+						if !reflect.DeepEqual(word.Record, run.Record) {
+							t.Error("recorded slices or block tables diverge from per-word")
 						}
 					})
 				}
