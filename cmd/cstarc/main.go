@@ -5,11 +5,12 @@
 //
 // Usage:
 //
-//	cstarc [-format] [-run] [-nodes N] [-block B] [-protocol stache|predictive] file.cstar
+//	cstarc [-format] [-run] [-nodes N] [-block B] [-protocol stache|predictive|update] file.cstar
 //
 // -format pretty-prints the program instead of analyzing it. -run
 // executes the compiled program on a simulated machine and reports the
-// execution-time breakdown.
+// execution-time breakdown. With -run, a bad -nodes, -block or -protocol
+// exits with status 2 and a one-line error before anything is read.
 package main
 
 import (
@@ -28,12 +29,24 @@ func main() {
 	run := flag.Bool("run", false, "execute the compiled program on the simulated machine")
 	nodes := flag.Int("nodes", 16, "simulated node count for -run")
 	block := flag.Int("block", 32, "cache block size in bytes for -run")
-	protocol := flag.String("protocol", "predictive", "coherence protocol for -run")
+	protocol := flag.String("protocol", "predictive", "coherence protocol for -run: stache, predictive or update")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: cstarc [flags] file.cstar")
 		os.Exit(2)
+	}
+	mc := rt.Config{Nodes: *nodes, BlockSize: *block, Protocol: rt.ProtocolKind(*protocol)}
+	if *run {
+		err := mc.Validate()
+		if *nodes < 1 {
+			// Validate reads zero nodes as the runtime's default size.
+			err = fmt.Errorf("-nodes %d: want at least 1", *nodes)
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "cstarc:", err)
+			os.Exit(2)
+		}
 	}
 	src, err := os.ReadFile(flag.Arg(0))
 	if err != nil {
@@ -57,16 +70,12 @@ func main() {
 		return
 	}
 	fmt.Println("\nExecuting on the simulated machine...")
-	res, err := interp.Run(a, interp.Options{Machine: rt.Config{
-		Nodes:     *nodes,
-		BlockSize: *block,
-		Protocol:  rt.ProtocolKind(*protocol),
-	}})
+	res, err := interp.Run(a, interp.Options{Machine: mc})
 	if err != nil {
 		fatal(err)
 	}
-	b := res.Breakdown
-	fmt.Printf("\nprotocol=%s nodes=%d block=%dB\n", *protocol, *nodes, *block)
+	b, c := res.Breakdown, res.Machine.Cfg
+	fmt.Printf("\nprotocol=%s nodes=%d block=%dB\n", c.Protocol, c.Nodes, c.BlockSize)
 	fmt.Printf("elapsed         %v\n", b.Elapsed)
 	fmt.Printf("compute         %v\n", b.Compute)
 	fmt.Printf("remote wait     %v\n", b.RemoteWait)

@@ -30,9 +30,11 @@
 package barnes
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"presto/internal/memory"
@@ -168,21 +170,36 @@ func coord(v float64) int {
 //
 // Cells are block-aligned, so at blocks larger than a cell each takes a
 // whole block. A segment that cannot hold even its builder's roots at
-// that padding is counted in padded cells instead; every other shape
-// keeps its unpadded size, and with it its cell addresses.
-func cellSegment(n, P, bs int) int64 {
+// that padding, or any segment when padAll is set, is counted in padded
+// cells instead. Run sets padAll only after a run whose tree outgrew a
+// segment, so every shape that fits keeps its unpadded size, and with it
+// its cell addresses.
+func cellSegment(n, P, bs int, padAll bool) int64 {
 	regions := (numRegions + P - 1) / P
 	cells := int64(max(n, 4*regions))
 	seg := (cells*cellSize + int64(bs) - 1) / int64(bs) * int64(bs) // as NewArena aligns it
 	padded := (cellSize + int64(bs) - 1) / int64(bs) * int64(bs)
-	if seg < int64(regions-1)*padded+cellSize {
+	if padAll || seg < int64(regions-1)*padded+cellSize {
 		seg = cells * padded
 	}
 	return seg
 }
 
-// Run executes Barnes on a machine built from cfg.
+// errArenaFull is a tree build that outgrew its builder's arena segment.
+var errArenaFull = errors.New("outgrew its arena segment")
+
+// Run executes Barnes on a machine built from cfg. A run whose tree build
+// outgrows an arena segment stops there and runs again on a fresh machine
+// with every cell counted padded (cellSegment).
 func Run(cfg Config) (*Result, error) {
+	r, err := run(cfg, false)
+	if errors.Is(err, errArenaFull) {
+		r, err = run(cfg, true)
+	}
+	return r, err
+}
+
+func run(cfg Config, padAll bool) (*Result, error) {
 	c := cfg.Defaults()
 	n := c.Bodies
 	m := rt.New(c.Machine)
@@ -201,7 +218,8 @@ func Run(cfg Config) (*Result, error) {
 	mail := m.NewArray1D("mail", n, 1, false)
 	mailIdx := m.NewArray1D("mailidx", P*(numRegions+1), 1, false)
 	// Tree cells, allocated by each region's builder in its own segment.
-	arena := m.NewArena("cells", cellSegment(n, P, m.Cfg.BlockSize)*int64(P))
+	seg := cellSegment(n, P, m.Cfg.BlockSize, padAll)
+	arena := m.NewArena("cells", seg*int64(P))
 
 	if c.SPMD {
 		if u, ok := m.Proto.(*update.Update); ok {
@@ -246,8 +264,17 @@ func Run(cfg Config) (*Result, error) {
 	const dt = 1e-3
 	checks := make([]float64, P)
 	cellCounts := make([]int, P)
+	full := make([]bool, P) // whose tree outgrew its segment
 
 	err := m.Run(func(w *rt.Worker) {
+		defer func() {
+			if r := recover(); r != nil {
+				if r != errArenaFull {
+					panic(r)
+				}
+				full[w.ID] = true
+			}
+		}()
 		lo, hi := bodies.MyRange(w)
 		rlo, rhi := roots.MyRange(w)
 		vel := make([]float64, 3*(hi-lo)) // owner-private velocities
@@ -264,6 +291,9 @@ func Run(cfg Config) (*Result, error) {
 
 		// newCell allocates and zeroes a local tree cell.
 		newCell := func() memory.Addr {
+			if !arena.Fits(w.ID, cellSize, true) {
+				panic(errArenaFull) // the other workers stop at the next barrier
+			}
 			a := arena.Alloc(w.ID, cellSize, true)
 			w.WriteF64s(a, zeroCell[:])
 			myCells = append(myCells, a)
@@ -480,6 +510,9 @@ func Run(cfg Config) (*Result, error) {
 		checks[w.ID] = cs
 		cellCounts[w.ID] = len(myCells)
 	})
+	if node := slices.Index(full, true); node >= 0 {
+		return &Result{Machine: m}, fmt.Errorf("barnes: node %d's tree %w (%d bytes)", node, errArenaFull, seg)
+	}
 	if err != nil {
 		return &Result{Machine: m}, fmt.Errorf("barnes: %w", err)
 	}

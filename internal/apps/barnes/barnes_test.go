@@ -1,6 +1,7 @@
 package barnes
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -156,10 +157,11 @@ func abs(v float64) float64 {
 // TestBarnesTinyProblems: a handful of bodies on many builders still fits
 // the cell arena, whose segments must hold every builder's region roots,
 // also at blocks so large that every block-aligned cell takes a whole
-// block; and a zero node count means the default machine, as it does for
+// block, or whose tree outgrows its first segment size and is run again
+// padded; and a zero node count means the default machine, as it does for
 // rt.
 func TestBarnesTinyProblems(t *testing.T) {
-	for _, sh := range []struct{ nodes, bodies, block int }{{8, 1, 32}, {8, 7, 32}, {16, 2, 4096}, {32, 40, 4096}} {
+	for _, sh := range []struct{ nodes, bodies, block int }{{8, 1, 32}, {8, 7, 32}, {16, 2, 4096}, {32, 40, 4096}, {25, 56, 2048}} {
 		r, err := Run(Config{Machine: rt.Config{Nodes: sh.nodes, BlockSize: sh.block}, Bodies: sh.bodies, Iters: 2})
 		if err != nil {
 			t.Fatalf("%+v: %v", sh, err)
@@ -167,6 +169,10 @@ func TestBarnesTinyProblems(t *testing.T) {
 		if r.Cells == 0 {
 			t.Errorf("%+v: no tree cells built", sh)
 		}
+	}
+	split := Config{Machine: rt.Config{Nodes: 25, BlockSize: 2048}, Bodies: 56, Iters: 1}
+	if _, err := run(split, false); !errors.Is(err, errArenaFull) {
+		t.Errorf("unpadded first run: got %v, want a tree to outgrow its segment", err)
 	}
 	r, err := Run(Config{Bodies: 16, Iters: 1})
 	if err != nil {

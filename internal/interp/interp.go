@@ -8,7 +8,9 @@
 // parallel functions it calls become closures over a per-worker frame:
 // scalars, loop variables and scalar parameters are []float64 slots; a field
 // access is a plane (parameter, field) bound once per call site, plus index
-// closures; directives attach to the statements of main they precede.
+// closures, and a field read also owns a tempest.Cursor in the frame, so a
+// read of the block run its site read last costs a range check and an
+// epoch compare; directives attach to the statements of main they precede.
 //
 // Simulated cost: in parallel code each literal, name, position, operator,
 // intrinsic and field read costs one Options.CostOp, a field write two.
@@ -40,6 +42,7 @@ import (
 	"presto/internal/memory"
 	"presto/internal/rt"
 	"presto/internal/sim"
+	"presto/internal/tempest"
 )
 
 // Options configures one interpreted run.
@@ -100,10 +103,15 @@ func (h *aggHandle) owned(w *rt.Worker) (rlo, rhi, clo, chi int) {
 	return lo, hi, 0, h.grid.Cols
 }
 
-// Run executes an analyzed program under the given machine options.
+// Run executes an analyzed program under the given machine options; a
+// machine configuration rt.Config.Validate rejects is an error before any
+// machine is built.
 func Run(a *compiler.Analysis, opt Options) (*Result, error) {
 	if opt.CostOp == 0 {
 		opt.CostOp = 300 * sim.Nanosecond
+	}
+	if err := opt.Machine.Validate(); err != nil {
+		return nil, err
 	}
 	m := rt.New(opt.Machine)
 	aggs, err := allocAggs(a, m)
@@ -122,7 +130,7 @@ func Run(a *compiler.Analysis, opt Options) (*Result, error) {
 	var runErr error
 	err = m.Run(func(w *rt.Worker) {
 		defer catch(&runErr)
-		fr := &frame{w: w, slots: make([]float64, p.nslots), par: make([]float64, p.parSlots)}
+		fr := &frame{w: w, slots: make([]float64, p.nslots), par: make([]float64, p.parSlots), curs: make([]tempest.Cursor, p.sites)}
 		p.run(fr)
 		if w.ID == 0 {
 			for name, k := range p.scopes[0].slots {

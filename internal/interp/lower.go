@@ -10,6 +10,7 @@ import (
 	"presto/internal/memory"
 	"presto/internal/rt"
 	"presto/internal/sim"
+	"presto/internal/tempest"
 )
 
 // frame is one worker's state while it runs the lowered program.
@@ -20,6 +21,8 @@ type frame struct {
 	planes []plane   // the running call's field planes
 	i, j   int       // the running element
 	ops    int       // cost units the running element has spent
+	// curs holds one cursor per lowered read site.
+	curs []tempest.Cursor
 }
 
 type (
@@ -37,6 +40,7 @@ type lowerer struct {
 	costOp    sim.Time
 	funcs     map[*lang.FuncDecl]*body
 	parSlots  int
+	sites     int   // read sites lowered so far
 	err       error // the first rejected construct
 }
 
@@ -293,9 +297,11 @@ func (b *body) expr(x lang.Expr) (expr, int) {
 			return failure("main may not read aggregate elements directly; use reduce"), 1
 		}
 		at, n := b.field(v)
+		site := b.sites
+		b.sites++
 		return func(fr *frame) float64 {
 			if a, ok := at(fr); ok {
-				return fr.w.ReadF64(a)
+				return fr.w.Node.ReadF64At(fr.w.P, &fr.curs[site], a)
 			}
 			return 0 // boundary value
 		}, n + 1

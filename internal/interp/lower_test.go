@@ -143,6 +143,21 @@ func main() {
 }
 `
 
+// rereadSrc has every element read element 0's x, which the owner then
+// writes, step after step: under stache each step's first read of x on a
+// sharer must miss its read site's cursor, because the write invalidated
+// the copy the cursor holds a run of.
+const rereadSrc = `
+aggregate M[] { float x; float s; }
+parallel func look(parallel m: M) { m.s = m.s + m[0].x; }
+parallel func bump(parallel m: M) { m.x = m.x + #0 + 1; }
+func main() {
+  let g = M[64];
+  for step in 0..4 { look(g); bump(g); }
+  let total = reduce(+, g.s);
+}
+`
+
 // testPrograms names every program this package's tests run.
 func testPrograms(t testing.TB) map[string]string {
 	progs := map[string]string{
@@ -150,6 +165,7 @@ func testPrograms(t testing.TB) map[string]string {
 		"rowblock": tiledSrc("rowblock"), "tiled": tiledSrc("tiled"),
 		"intrinsics": intrinsicsSrc, "unknown-call": unknownCallSrc,
 		"unexecuted-errors": unexecutedErrorSrc, "scatter": scatterSrc,
+		"reread": rereadSrc,
 	}
 	for k, src := range interpErrorCases {
 		progs[fmt.Sprintf("interp-error-%d", k)] = src
@@ -215,15 +231,20 @@ func TestLoopShadowRejected(t *testing.T) {
 	}
 }
 
+// protocols are the protocols the differential tests run under.
+var protocols = []rt.ProtocolKind{rt.ProtoPredictive, rt.ProtoStache, rt.ProtoUpdate}
+
 // TestLoweredMatchesWalker runs every program of the package through
-// both executors on 2- and 8-node machines under both protocols: results,
-// simulated time, counters, memory and errors must be identical.
+// both executors on 2- and 8-node machines under every protocol: results,
+// simulated time, counters, memory and errors must be identical. The
+// walker reads word by word through ReadF64, so this is also the
+// differential test of the lowered read sites' cursors.
 func TestLoweredMatchesWalker(t *testing.T) {
 	progs := testPrograms(t)
 	for name, src := range progs {
 		a := analyze(t, src)
 		for _, nodes := range []int{2, 8} {
-			for _, proto := range []rt.ProtocolKind{rt.ProtoPredictive, rt.ProtoStache} {
+			for _, proto := range protocols {
 				if msg := compareExecutors(a, runOpts(nodes, proto)); msg != "" {
 					t.Errorf("%s on %d nodes, %s: %s", name, nodes, proto, msg)
 				}
@@ -279,7 +300,7 @@ func FuzzLoweredMatchesWalker(f *testing.F) {
 		if err != nil {
 			return
 		}
-		for _, proto := range []rt.ProtocolKind{rt.ProtoPredictive, rt.ProtoStache} {
+		for _, proto := range protocols {
 			if msg := compareExecutors(a, runOpts(2, proto)); msg != "" {
 				t.Fatalf("%s: %s\n%s", proto, msg, src)
 			}

@@ -27,7 +27,8 @@ type benchProto struct{}
 func (benchProto) Name() string         { return "bench" }
 func (benchProto) Init(n *tempest.Node) {}
 func (benchProto) OnFault(n *tempest.Node, b memory.Block, w bool) bool {
-	n.Store.Ensure(b).Tag = memory.ReadWrite
+	n.Store.Ensure(b)
+	n.Store.SetTag(b, memory.ReadWrite)
 	return true
 }
 func (benchProto) Handle(n *tempest.Node, d sim.Delivery) {}

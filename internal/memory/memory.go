@@ -185,7 +185,8 @@ func (as *AddressSpace) Contiguous(a, b Block) bool {
 	return a.RegionID() == b.RegionID() && b.Offset()-a.Offset() == int64(as.blockSize)
 }
 
-// Line is one cache block's state on one node.
+// Line is one cache block's state on one node. Change Tag only through
+// Store.SetTag or Store.Install, which move the Store's epoch.
 type Line struct {
 	Tag  Tag
 	Data []byte
@@ -226,6 +227,9 @@ type Store struct {
 	slab []Line
 	data []byte
 	n    int // lines carved so far
+	// epoch moves on every tag change and first-use mark: a run of a
+	// line may be reused for as long as it stands still.
+	epoch uint64
 }
 
 // NewStore builds node's view of all regions allocated so far. Call after
@@ -363,11 +367,19 @@ func (s *Store) Peek(b Block) (Tag, []byte) {
 // line with zeroed storage if needed.
 func (s *Store) Ensure(b Block) *Line { return s.lineAt(b, missCreate) }
 
+// Epoch returns the Store's epoch. While it is unchanged, no tag has
+// changed and no first-use mark has been set since it was read.
+func (s *Store) Epoch() uint64 { return s.epoch }
+
+// Bump moves the epoch for a first-use mark the node sets on a line.
+func (s *Store) Bump() { s.epoch++ }
+
 // Install copies data into the node's line for b and sets its tag.
 func (s *Store) Install(b Block, data []byte, tag Tag) {
 	l := s.Ensure(b)
 	copy(l.Data, data)
 	l.Tag = tag
+	s.epoch++
 }
 
 // SetTag changes the tag of an existing line; it panics if the line has
@@ -378,6 +390,7 @@ func (s *Store) SetTag(b Block, tag Tag) {
 		panic(fmt.Sprintf("memory: node %d: SetTag on absent line %#x", s.node, uint64(b)))
 	}
 	l.Tag = tag
+	s.epoch++
 }
 
 // Data returns the node's backing bytes for block b (it panics if absent).

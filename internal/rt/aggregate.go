@@ -247,19 +247,28 @@ func (a *Arena) Alloc(node int, bytes int64, blockAlign bool) memory.Addr {
 	if bytes <= 0 {
 		panic("rt: arena alloc of non-positive size")
 	}
-	cur := a.next[node]
-	if blockAlign {
-		bs := int64(a.M.Cfg.BlockSize)
-		cur = (cur + bs - 1) / bs * bs
-	} else {
-		cur = (cur + 7) &^ 7
-	}
+	cur := a.start(node, blockAlign)
 	if cur+bytes > a.segSize {
 		panic(fmt.Sprintf("rt: arena %q segment of node %d exhausted (%d + %d > %d)",
 			a.R.Name, node, cur, bytes, a.segSize))
 	}
 	a.next[node] = cur + bytes
 	return a.R.Addr(int64(node)*a.segSize + cur)
+}
+
+// Fits reports whether Alloc(node, bytes, blockAlign) has room.
+func (a *Arena) Fits(node int, bytes int64, blockAlign bool) bool {
+	return a.start(node, blockAlign)+bytes <= a.segSize
+}
+
+// start is where node's next allocation begins.
+func (a *Arena) start(node int, blockAlign bool) int64 {
+	cur := a.next[node]
+	if blockAlign {
+		bs := int64(a.M.Cfg.BlockSize)
+		return (cur + bs - 1) / bs * bs
+	}
+	return (cur + 7) &^ 7
 }
 
 // ResetNode empties one node's segment (e.g. rebuilding a tree each

@@ -523,7 +523,7 @@ func (s *Protocol) handleRecall(n *tempest.Node, b memory.Block, kind recallKind
 		state(n).or(b, uint8(kind)<<deferRecallShift)
 		return
 	}
-	s.sendWriteBack(n, b, l, kind)
+	s.writeBack(n, b, kind)
 }
 
 // handleUseDone performs coherence actions deferred behind a pending use,
@@ -545,7 +545,7 @@ func (s *Protocol) handleUseDone(n *tempest.Node, b memory.Block) {
 			if l == nil || l.Tag != memory.ReadWrite {
 				panic(fmt.Sprintf("stache: node %d: post-use recall finds tag %v for %#x", n.ID, n.Store.Tag(b), uint64(b)))
 			}
-			s.sendWriteBack(n, b, l, kind)
+			s.writeBack(n, b, kind)
 		}
 	}
 	if n.AS.HomeOf(b) == n.ID {
@@ -553,14 +553,22 @@ func (s *Protocol) handleUseDone(n *tempest.Node, b memory.Block) {
 	}
 }
 
-func (s *Protocol) sendWriteBack(n *tempest.Node, b memory.Block, l *memory.Line, kind recallKind) {
-	home := n.Peers[n.AS.HomeOf(b)]
-	data := append([]byte(nil), l.Data...)
+// writeBack answers a recall of the node's writable copy of b: it
+// downgrades (RO) or invalidates (RW) the copy and returns its data home.
+func (s *Protocol) writeBack(n *tempest.Node, b memory.Block, kind recallKind) {
+	data := append([]byte(nil), n.Store.Data(b)...)
 	if kind == recallRO {
-		l.Tag = memory.ReadOnly
+		n.Store.SetTag(b, memory.ReadOnly)
 	} else {
-		l.Tag = memory.Invalid
+		n.Store.SetTag(b, memory.Invalid)
 	}
+	s.postWriteBack(n, b, data, kind)
+}
+
+// postWriteBack sends data, the node's private copy of b's current
+// contents, home as the answer to a recall of kind.
+func (s *Protocol) postWriteBack(n *tempest.Node, b memory.Block, data []byte, kind recallKind) {
+	home := n.Peers[n.AS.HomeOf(b)]
 	n.Post(n.ProtoProc, home, tempest.MsgWriteBack{
 		Block: b, Data: data, From: n.ID, Downgraded: kind == recallRO,
 	})
@@ -629,8 +637,7 @@ func (s *Protocol) HandleDataRW(n *tempest.Node, b memory.Block, data []byte, pr
 		}
 		// No local waiter (pre-send grant): satisfy the recall with the
 		// arriving (current) data without installing.
-		l := &memory.Line{Tag: memory.ReadWrite, Data: append([]byte(nil), data...)}
-		s.sendWriteBack(n, b, l, kind)
+		s.postWriteBack(n, b, append([]byte(nil), data...), kind)
 		if kind == recallRO {
 			n.Store.Install(b, data, memory.ReadOnly)
 		}

@@ -260,6 +260,7 @@ func (n *Node) NotePresendArrival(b memory.Block) {
 		n.Met.PresendsRaced.Inc()
 		return // raced with a fault: the fault was not averted
 	}
+	n.Store.Bump() // a fresh mark: a cursor hit would not score it
 	if !n.presendFresh.Set(b) {
 		// A re-pre-send superseding a still-fresh copy: the earlier
 		// install was never consumed, so score it stale — every install
@@ -500,6 +501,35 @@ func (n *Node) WriteRun(p *sim.Proc, a memory.Addr) []byte {
 		}
 		n.fault(p, a, true)
 	}
+}
+
+// Cursor is one read site's memo of the block run its last read returned
+// (each lowered cstar read site has its own). It holds while the Store's
+// epoch is the one it was filled at. Every tag change and fresh mark moves
+// the epoch; a grant's pending use marks only the block being faulted on,
+// whose tag change has moved it, and the faulting ReadRun clears the mark
+// before it fills a cursor. So a held run's block is readable with its
+// marks clear, where ReadRun neither yields nor advances time: loading from
+// the run is exact. The zero Cursor is empty.
+type Cursor struct {
+	base  memory.Addr // the address run starts at
+	run   []byte
+	epoch uint64
+}
+
+// ReadF64At is ReadF64 through the read site's cursor c: an aligned load
+// inside c's run while c holds reads the run, and any other load goes
+// through ReadRun and refills c. A recording node never fills c, since
+// every access it makes must be noted.
+func (n *Node) ReadF64At(p *sim.Proc, c *Cursor, a memory.Addr) float64 {
+	if off := uint64(a - c.base); off < uint64(len(c.run)) && off&7 == 0 && c.epoch == n.Store.Epoch() {
+		return math.Float64frombits(binary.LittleEndian.Uint64(c.run[off:]))
+	}
+	d := n.ReadRun(p, a)
+	if n.Rec == nil {
+		c.base, c.run, c.epoch = a, d, n.Store.Epoch()
+	}
+	return math.Float64frombits(binary.LittleEndian.Uint64(d))
 }
 
 // finishUse ends every successful access: it clears the first-use marks

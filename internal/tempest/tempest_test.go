@@ -1,6 +1,8 @@
 package tempest
 
 import (
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -241,7 +243,8 @@ func (p *nullProto) Name() string { return "null" }
 func (p *nullProto) Init(n *Node) {}
 func (p *nullProto) OnFault(n *Node, b memory.Block, w bool) bool {
 	p.faults++
-	n.Store.Ensure(b).Tag = memory.ReadWrite
+	n.Store.Ensure(b)
+	n.Store.SetTag(b, memory.ReadWrite)
 	return true
 }
 func (p *nullProto) Handle(n *Node, d sim.Delivery) { p.handled = append(p.handled, d.Msg) }
@@ -344,6 +347,55 @@ func TestPendingUseLifecycle(t *testing.T) {
 	}
 	if !found {
 		t.Fatal("no MsgUseDone delivered")
+	}
+}
+
+// TestReadF64AtCursor: a cursor serves loads inside the run it holds
+// until the Store's epoch moves, and a recording node never fills one.
+func TestReadF64AtCursor(t *testing.T) {
+	k, nodes, proto := twoNodes(t)
+	n := nodes[0]
+	n.Compute = k.Spawn("c0", func(p *sim.Proc) {
+		var c Cursor
+		a := memory.Addr(32) // block 1, homed on node 1: faults in
+		n.ReadF64At(p, &c, a)
+		binary.LittleEndian.PutUint64(n.Store.Data(32)[8:], math.Float64bits(2.5))
+		if v := n.ReadF64At(p, &c, a+8); v != 2.5 || proto.faults != 1 {
+			t.Errorf("hit read %v after %d faults, want 2.5 after 1", v, proto.faults)
+		}
+		n.Store.SetTag(32, memory.Invalid)
+		if n.ReadF64At(p, &c, a+8); proto.faults != 2 {
+			t.Errorf("%d faults, want a second after the tag change", proto.faults)
+		}
+		n.Rec = NewCommRecord()
+		n.Store.Bump()
+		n.ReadF64At(p, &c, a)
+		n.ReadF64At(p, &c, a+8)
+		n.Rec.CloseSlice()
+		if got := len(n.Rec.Slices[0].Accs); got != 2 {
+			t.Errorf("recorded %d accesses, want 2", got)
+		}
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestReadF64AtHitZeroAlloc pins a cursor hit to zero heap allocations.
+func TestReadF64AtHitZeroAlloc(t *testing.T) {
+	k, nodes, _ := twoNodes(t)
+	n := nodes[0]
+	var allocs float64
+	n.Compute = k.Spawn("c0", func(p *sim.Proc) {
+		var c Cursor
+		n.ReadF64At(p, &c, 0)
+		allocs = testing.AllocsPerRun(100, func() { n.ReadF64At(p, &c, 8) })
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if allocs != 0 {
+		t.Fatalf("a cursor hit allocates %v objects, want 0", allocs)
 	}
 }
 
