@@ -376,7 +376,7 @@ func (s *Store) Bump() { s.epoch++ }
 
 // Install copies data into the node's line for b and sets its tag.
 func (s *Store) Install(b Block, data []byte, tag Tag) {
-	l := s.Ensure(b)
+	l := s.lineAt(b, missCreate)
 	copy(l.Data, data)
 	l.Tag = tag
 	s.epoch++
