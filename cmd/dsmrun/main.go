@@ -6,7 +6,7 @@
 //
 //	dsmrun -app adaptive|barnes|water [-protocol stache|predictive|update]
 //	       [-nodes N] [-block B] [-net <preset>] [-aggregate] [-spmd] [-splash] [-size N] [-iters N]
-//	       [-metrics out.json] [-metrics-out out.json]
+//	       [-metrics out.json]
 //	       [-profile] [-profile-out profile.json] [-predict]
 //	       [-trace-out t.json] [-trace-format chrome|jsonl]
 //	       [-engine serial|parallel] [-workers N]
@@ -14,7 +14,6 @@
 //
 // -metrics writes the machine's full metrics report (breakdown, per-phase
 // stats, protocol counters, histograms) as JSON; "-" selects stdout.
-// -metrics-out is an alias for -metrics.
 // -profile enables the causal profiler: every wake edge is recorded, and
 // after the run dsmrun prints the exact time-attribution report (every
 // simulated nanosecond of every node classified into compute / transit /
@@ -79,7 +78,6 @@ func main() {
 	spmd := flag.Bool("spmd", false, "barnes: hand-optimized SPMD baseline (use -protocol update)")
 	splash := flag.Bool("splash", false, "water: Splash-2 shared-memory variant")
 	metricsOut := flag.String("metrics", "", "write the metrics report as JSON to this file (\"-\" = stdout)")
-	metricsOut2 := flag.String("metrics-out", "", "alias for -metrics: write the metrics report (including the full metrics registry) as JSON")
 	predictFlag := flag.Bool("predict", false, "validate the analytical predictor against this run: record a 32B calibration of the same configuration, predict this block size, print the predicted-vs-simulated error table")
 	profileOut := flag.String("profile-out", "", "with -profile: write the profile.json artifact to this file (\"-\" = stdout)")
 	traceOut := flag.String("trace-out", "", "write the protocol event trace to this file")
@@ -111,10 +109,6 @@ func main() {
 
 	stopProf = prof.Start(*cpuprofile, *memprofile)
 	defer stopProf()
-
-	if *metricsOut == "" {
-		*metricsOut = *metricsOut2
-	}
 
 	var traceFile *os.File
 	var chrome *trace.Chrome

@@ -105,15 +105,7 @@ func main() {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
 
-	opts := harness.Options{
-		Scale:     harness.ParseScale(*scaleStr),
-		Engine:    mc.Engine,
-		Workers:   mc.Workers,
-		Net:       mc.Net,
-		Aggregate: mc.Aggregate,
-		Profile:   mc.Profile,
-		Predict:   *predictFlag,
-	}
+	opts := harness.Options{Scale: harness.ParseScale(*scaleStr), Machine: mc, Predict: *predictFlag}
 
 	if *predictValidate != "" {
 		if err := runPredictValidate(opts, *predictValidate, *predictWide, *predictBand); err != nil {
@@ -213,26 +205,16 @@ func main() {
 	}
 }
 
-// predictValidateMaxMAE is the CI gate on the analytical predictor: the
-// mean absolute elapsed-time error over the figure 5-7 sweeps plus the
-// 2x-extrapolation chaos band must stay under 15% (DESIGN.md §13).
-const predictValidateMaxMAE = 15.0
-
-// runPredictValidate executes the predict-validate CI job: build the
-// gated error table (figures + shift-1 chaos band), write it as the
-// uploaded artifact, optionally record the wider informational band, and
-// fail the process when the gate is breached.
+// runPredictValidate executes the predict-validate CI job: write the
+// gated error table (harness.PredictValidation) as the uploaded
+// artifact, optionally write the wider informational band, and return
+// the gate's verdict (harness.PredictGate).
 func runPredictValidate(opts harness.Options, path, widePath string, seeds int) error {
 	table, err := harness.PredictValidation(opts, seeds)
 	if err != nil {
 		return err
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	table.WriteCSV(f)
-	if err := f.Close(); err != nil {
+	if err := writeTable(path, table); err != nil {
 		return err
 	}
 	table.Render(os.Stdout)
@@ -243,12 +225,7 @@ func runPredictValidate(opts harness.Options, path, widePath string, seeds int) 
 		if err != nil {
 			return err
 		}
-		wf, err := os.Create(widePath)
-		if err != nil {
-			return err
-		}
-		wide.WriteCSV(wf)
-		if err := wf.Close(); err != nil {
+		if err := writeTable(widePath, wide); err != nil {
 			return err
 		}
 		fmt.Printf("wide band (4x/8x, informational): mean absolute error %.2f%% over %d rows (max %.2f%%)\n",
@@ -256,11 +233,20 @@ func runPredictValidate(opts harness.Options, path, widePath string, seeds int) 
 		fmt.Printf("wrote %s\n", widePath)
 	}
 
-	if mae := table.MAE(); mae >= predictValidateMaxMAE {
-		return fmt.Errorf("predict-validate: mean absolute error %.2f%% over %d rows breaches the %.0f%% gate",
-			mae, len(table.Rows), predictValidateMaxMAE)
+	if err := harness.PredictGate(table); err != nil {
+		return err
 	}
 	fmt.Printf("predict-validate: mean absolute error %.2f%% over %d rows — under the %.0f%% gate\n",
-		table.MAE(), len(table.Rows), predictValidateMaxMAE)
+		table.MAE(), len(table.Rows), harness.PredictGateMAE)
 	return nil
+}
+
+// writeTable writes an error table as CSV to path.
+func writeTable(path string, t *predict.ErrorTable) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	t.WriteCSV(f)
+	return f.Close()
 }

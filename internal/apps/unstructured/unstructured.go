@@ -54,6 +54,8 @@ const (
 
 // Config describes one run.
 type Config struct {
+	// Machine is the machine the kernel runs on; Run replaces only its
+	// Protocol, which the strategy picks.
 	Machine  rt.Config
 	Strategy Strategy
 
@@ -134,15 +136,9 @@ type Result struct {
 // Run executes the kernel under cfg.
 func Run(cfg Config) (*Result, error) {
 	c := cfg.Defaults()
-	m := rt.New(rt.Config{
-		Nodes:     c.Machine.Nodes,
-		BlockSize: c.Machine.BlockSize,
-		Protocol:  c.machineProtocol(),
-		Net:       c.Machine.Net,
-		Trace:     c.Machine.Trace,
-		Sink:      c.Machine.Sink,
-		MaxEvents: c.Machine.MaxEvents,
-	})
+	mc := c.Machine
+	mc.Protocol = c.machineProtocol()
+	m := rt.New(mc)
 	m.NamePhase(PhaseDual, "dual-update")
 	m.NamePhase(PhasePrimal, "primal-relax")
 	P := m.Cfg.Nodes

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"presto/internal/check"
+	"presto/internal/network"
 	"presto/internal/rt"
 )
 
@@ -128,5 +129,28 @@ func TestDeterministic(t *testing.T) {
 	}
 	if r1.Checksum != r2.Checksum || r1.Breakdown.Elapsed != r2.Breakdown.Elapsed {
 		t.Fatal("non-deterministic")
+	}
+}
+
+// TestRunKeepsMachine: Run builds its machine from Config.Machine and
+// replaces only the protocol, so run-wide settings such as node-leader
+// aggregation and the scheduler reach the machine.
+func TestRunKeepsMachine(t *testing.T) {
+	net, err := network.Preset("cluster:4x4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := cfg(Predictive, 0)
+	c.Machine = rt.Config{Nodes: 16, BlockSize: 32, Protocol: rt.ProtoUpdate, Net: net, Aggregate: true, Sched: rt.SchedHeap}
+	r, err := Run(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := r.Machine.Cfg
+	if got.Protocol != rt.ProtoPredictive || !got.Aggregate || got.Sched != rt.SchedHeap {
+		t.Fatalf("machine ran protocol %q aggregate %v sched %q, want predictive, true, heap", got.Protocol, got.Aggregate, got.Sched)
+	}
+	if r.Counters.AggMsgs == 0 {
+		t.Fatal("aggregated predictive run on cluster:4x4 sent no leader aggregates")
 	}
 }

@@ -94,11 +94,7 @@ type Result struct {
 const box = 1.0
 
 // Run executes Water on a machine built from cfg.
-func Run(cfg Config) (*Result, error) { return RunDebug(cfg, 0) }
-
-// RunDebug is Run with a kernel event budget (0 = unlimited), used to
-// diagnose livelock in tests.
-func RunDebug(cfg Config, maxEvents int64) (*Result, error) {
+func Run(cfg Config) (*Result, error) {
 	c := cfg.Defaults()
 	n := c.Molecules
 	m := rt.New(c.Machine)
@@ -107,7 +103,6 @@ func RunDebug(cfg Config, maxEvents int64) (*Result, error) {
 	m.NamePhase(PhaseCorrect, "correct")
 	m.NamePhase(PhaseForces+10, "forces-splash")
 	m.NamePhase(PhaseCorrect+10, "correct-splash")
-	m.Kernel.MaxEvents = maxEvents
 
 	// Positions: 4 float64 fields (x, y, z, pad) so one molecule occupies
 	// exactly one 32-byte block at the smallest block size; larger blocks

@@ -47,17 +47,19 @@ func (v Violation) String() string {
 
 // Machine audits every materialized directory entry of a finished
 // machine and returns all invariant violations found. When the machine
-// ran with a trace ring, each violation carries the tail of the protocol
-// event log for the offending block's home and implicated remote nodes.
+// ran with a trace.Ring as its Sink, each violation carries the tail of
+// the protocol event log for the offending block's home and implicated
+// remote nodes.
 func Machine(m *rt.Machine) []Violation {
 	var out []Violation
 	valueCheck := m.Cfg.Protocol != rt.ProtoUpdate
+	ring, _ := m.Cfg.Sink.(*trace.Ring)
 	for _, home := range m.Nodes {
 		home.Dir.ForEach(func(b memory.Block, e *tempest.DirEntry) {
 			vs := auditEntry(m, home, b, e, valueCheck)
-			if len(vs) > 0 && m.Ring != nil {
+			if len(vs) > 0 && ring != nil {
 				nodes := implicatedNodes(home.ID, e)
-				evs := m.Ring.EventsFor(nodes, violationEvents)
+				evs := ring.EventsFor(nodes, violationEvents)
 				for i := range vs {
 					vs[i].Events = evs
 				}

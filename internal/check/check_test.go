@@ -7,6 +7,7 @@ import (
 
 	"presto/internal/memory"
 	"presto/internal/rt"
+	"presto/internal/trace"
 )
 
 // runRandom executes a random phase-structured workload and returns the
@@ -147,7 +148,7 @@ func TestViolationCarriesTraceEvents(t *testing.T) {
 	// With a trace ring attached, a violation must carry the tail of the
 	// protocol event log for the offending block's home and any
 	// implicated remote nodes.
-	m := rt.New(rt.Config{Nodes: 2, BlockSize: 32, Protocol: rt.ProtoStache, Trace: 128})
+	m := rt.New(rt.Config{Nodes: 2, BlockSize: 32, Protocol: rt.ProtoStache, Sink: trace.NewRing(128)})
 	arr := m.NewArray1D("a", 8, 1, false)
 	err := m.Run(func(w *rt.Worker) {
 		if w.ID == 1 {
@@ -194,8 +195,8 @@ func TestViolationCarriesTraceEvents(t *testing.T) {
 
 func TestViolationNoRingNoEvents(t *testing.T) {
 	m := runRandom(t, rt.ProtoStache, 5, 32)
-	if m.Ring != nil {
-		t.Fatal("runRandom unexpectedly attached a ring")
+	if m.Cfg.Sink != nil {
+		t.Fatal("runRandom unexpectedly attached a trace sink")
 	}
 	// Corrupting without a ring must still produce violations, just
 	// without event context (and without panicking).

@@ -21,14 +21,14 @@ func TestFigureCSVEngineIdentity(t *testing.T) {
 			csvFor := func(o Options) []byte {
 				res, err := RunExperiment(e, o)
 				if err != nil {
-					t.Fatalf("%s (%s): %v", id, o.Engine, err)
+					t.Fatalf("%s (%s): %v", id, o.Machine.Engine, err)
 				}
 				var buf bytes.Buffer
 				res.CSV(&buf)
 				return buf.Bytes()
 			}
 			serial := csvFor(Options{Scale: Quick})
-			parallel := csvFor(Options{Scale: Quick, Engine: rt.EngineParallel, Workers: 4})
+			parallel := csvFor(Options{Scale: Quick, Machine: rt.Config{Engine: rt.EngineParallel, Workers: 4}})
 			if !bytes.Equal(serial, parallel) {
 				t.Fatalf("CSV rows differ between engines:\nserial:\n%s\nparallel:\n%s", serial, parallel)
 			}

@@ -31,18 +31,18 @@ func TestFigureCSVGolden(t *testing.T) {
 			}
 			path := filepath.Join("testdata", "golden", id+".csv")
 			for _, o := range []Options{
-				{Scale: Quick, Sched: rt.SchedWheel},
-				{Scale: Quick, Sched: rt.SchedHeap},
-				{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4},
-				{Scale: Quick, Sched: rt.SchedHeap, Engine: rt.EngineParallel, Workers: 4},
+				{Scale: Quick, Machine: rt.Config{Sched: rt.SchedWheel}},
+				{Scale: Quick, Machine: rt.Config{Sched: rt.SchedHeap}},
+				{Scale: Quick, Machine: rt.Config{Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4}},
+				{Scale: Quick, Machine: rt.Config{Sched: rt.SchedHeap, Engine: rt.EngineParallel, Workers: 4}},
 			} {
 				res, err := RunExperiment(e, o)
 				if err != nil {
-					t.Fatalf("%s (%s/%s): %v", id, o.Engine, o.Sched, err)
+					t.Fatalf("%s (%s/%s): %v", id, o.Machine.Engine, o.Machine.Sched, err)
 				}
 				var buf bytes.Buffer
 				res.CSV(&buf)
-				if *updateGolden && o.Engine != rt.EngineParallel && o.Sched == rt.SchedWheel {
+				if *updateGolden && o.Machine.Engine != rt.EngineParallel && o.Machine.Sched == rt.SchedWheel {
 					if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 						t.Fatal(err)
 					}
@@ -56,7 +56,7 @@ func TestFigureCSVGolden(t *testing.T) {
 				}
 				if !bytes.Equal(buf.Bytes(), want) {
 					t.Errorf("%s engine %q sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-						id, res.Engine, o.Sched, path, buf.Bytes(), want)
+						id, res.Engine, o.Machine.Sched, path, buf.Bytes(), want)
 				}
 			}
 		})

@@ -11,11 +11,11 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"reflect"
 	"sort"
 	"strings"
 
 	"presto/internal/causal"
-	"presto/internal/network"
 	"presto/internal/predict"
 	"presto/internal/rt"
 	"presto/internal/sim"
@@ -39,32 +39,28 @@ func ParseScale(s string) Scale {
 	return Quick
 }
 
-// Options selects how experiments execute: the workload scale and the
-// kernel engine. The engine changes wall-clock time only — results are
-// byte-identical across engines (asserted by determinism tests).
+// Options selects how experiments execute: the workload scale, a
+// machine template stamped onto every machine an experiment builds, and
+// the analytical fast path.
 type Options struct {
 	Scale Scale
-	// Engine is the kernel execution strategy (default rt.EngineSerial).
-	Engine rt.EngineKind
-	// Workers caps parallel-engine workers (0 = auto).
-	Workers int
-	// Sched selects the kernel's event scheduler (default rt.SchedWheel);
-	// the golden tests set rt.SchedHeap to run the reference oracle.
-	Sched rt.SchedKind
-	// Net, when non-nil, overrides the default interconnect for
-	// experiments that do not pick their own (the platform-comparison
-	// experiments keep their per-row presets).
-	Net *network.Params
-	// Aggregate enables node-leader message aggregation on every machine
-	// an experiment builds (a structural no-op on machines without node
-	// groups). Experiments that sweep aggregation themselves (the scaling
-	// curve) override it per row.
-	Aggregate bool
-	// Profile enables the causal profiler on every machine an experiment
-	// builds; figure 5-7 and sweep rows then carry a validated attribution
-	// profile (rendered after the phase table and exported in the JSON
-	// results).
-	Profile bool
+	// Machine is the template every experiment machine starts from. Only
+	// the run-wide fields may be set; the experiment picks each row's
+	// shape, protocol and ablation knobs itself (RunExperiment rejects a
+	// template that sets any other field):
+	//   - Engine, Workers and Sched are copied. The engine and scheduler
+	//     change wall clock only: results are byte-identical across them
+	//     (asserted by the determinism and golden tests, which set
+	//     rt.SchedHeap to run the reference oracle).
+	//   - Profile is copied: figure 5-7 and sweep rows then carry a
+	//     validated attribution profile (rendered after the phase table
+	//     and exported in the JSON results).
+	//   - Aggregate is OR-ed in: node-leader aggregation on every machine
+	//     (a structural no-op without node groups). The scaling curve
+	//     sweeps aggregation itself and overrides it per row.
+	//   - Net applies to rows that pick no interconnect of their own (the
+	//     platform-comparison rows keep their presets).
+	Machine rt.Config
 	// Predict switches the figure 5-7 and sweep experiments onto the
 	// analytical fast path (internal/predict): one recorded calibration
 	// simulation per (application, protocol) pair, every other block size
@@ -74,24 +70,29 @@ type Options struct {
 	Predict bool
 }
 
-func (o Options) withDefaults() Options {
-	if o.Engine == "" {
-		o.Engine = rt.EngineSerial
+// withDefaults checks the machine template and fills its engine.
+func (o Options) withDefaults() (Options, error) {
+	rest := o.Machine
+	rest.Engine, rest.Workers, rest.Sched, rest.Profile, rest.Aggregate, rest.Net = "", 0, "", false, false, nil
+	v := reflect.ValueOf(rest)
+	for i := 0; i < v.NumField(); i++ {
+		if !v.Field(i).IsZero() {
+			return o, fmt.Errorf("harness: machine template sets %s; experiments pick it per row (a template sets only Engine, Workers, Sched, Profile, Aggregate and Net)", v.Type().Field(i).Name)
+		}
 	}
-	return o
+	if o.Machine.Engine == "" {
+		o.Machine.Engine = rt.EngineSerial
+	}
+	return o, nil
 }
 
-// machine stamps the engine selection onto a machine configuration.
+// machine stamps the template onto one experiment machine.
 func (o Options) machine(c rt.Config) rt.Config {
-	c.Engine = o.Engine
-	c.Workers = o.Workers
-	c.Sched = o.Sched
-	c.Profile = o.Profile
-	if o.Aggregate {
-		c.Aggregate = true
-	}
-	if c.Net == nil && o.Net != nil {
-		c.Net = o.Net
+	t := o.Machine
+	c.Engine, c.Workers, c.Sched, c.Profile = t.Engine, t.Workers, t.Sched, t.Profile
+	c.Aggregate = c.Aggregate || t.Aggregate
+	if c.Net == nil {
+		c.Net = t.Net
 	}
 	return c
 }
@@ -115,7 +116,7 @@ type Row struct {
 // enforced here: a profile whose buckets do not sum to the simulated
 // time fails the experiment.
 func (o Options) attachProfile(row *Row, m *rt.Machine, app string) error {
-	if !o.Profile {
+	if !o.Machine.Profile {
 		return nil
 	}
 	p, err := m.Profile(app)
@@ -358,10 +359,13 @@ type Experiment struct {
 // RunExperiment executes the experiment with the given options and stamps
 // the result with the engine it ran under.
 func RunExperiment(e Experiment, o Options) (*Result, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	res, err := e.Run(o)
 	if res != nil {
-		res.Engine = o.Engine
+		res.Engine = o.Machine.Engine
 	}
 	return res, err
 }

@@ -4,6 +4,10 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"presto/internal/network"
+	"presto/internal/predict"
+	"presto/internal/rt"
 )
 
 func runExp(t *testing.T, id string) *Result {
@@ -34,6 +38,44 @@ func TestRegistryComplete(t *testing.T) {
 		if e.Paper == "" || e.Title == "" {
 			t.Fatalf("experiment %q missing metadata", e.ID)
 		}
+	}
+}
+
+// TestMachineTemplateRejectsRowFields: a machine template sets only the
+// run-wide fields. Shape, protocol and every other field belong to the
+// rows, so RunExperiment and the predict-validate table refuse a
+// template that sets one, before simulating anything.
+func TestMachineTemplateRejectsRowFields(t *testing.T) {
+	e, _ := ByID("table1")
+	for _, m := range []rt.Config{{Nodes: 8}, {BlockSize: 64}, {Protocol: rt.ProtoPredictive}, {MaxEvents: 1}} {
+		if _, err := RunExperiment(e, Options{Scale: Quick, Machine: m}); err == nil {
+			t.Errorf("RunExperiment accepted template %+v", m)
+		}
+		if _, err := FigureErrorTable(Options{Scale: Quick, Machine: m}); err == nil {
+			t.Errorf("FigureErrorTable accepted template %+v", m)
+		}
+	}
+	run := rt.Config{Engine: rt.EngineParallel, Workers: 2, Sched: rt.SchedHeap, Profile: true, Aggregate: true, Net: network.NOW()}
+	res, err := RunExperiment(e, Options{Scale: Quick, Machine: run})
+	if err != nil {
+		t.Fatalf("run-wide template refused: %v", err)
+	}
+	if res.Engine != rt.EngineParallel {
+		t.Fatalf("result engine %q, want %q", res.Engine, rt.EngineParallel)
+	}
+}
+
+// TestPredictGate: the predict-validate gate passes a table strictly
+// under PredictGateMAE and fails one at or over it.
+func TestPredictGate(t *testing.T) {
+	var under, over predict.ErrorTable
+	under.Add("figure5", "a", 32, 114, 100)
+	over.Add("figure5", "a", 32, 115, 100)
+	if err := PredictGate(&under); err != nil {
+		t.Fatalf("14%% error failed the gate: %v", err)
+	}
+	if err := PredictGate(&over); err == nil {
+		t.Fatal("15% error passed the gate")
 	}
 }
 

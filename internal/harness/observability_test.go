@@ -148,7 +148,7 @@ func TestWriteJSON(t *testing.T) {
 // carries its causal attribution profile.
 func TestProfileInJSON(t *testing.T) {
 	e, _ := ByID("figure5")
-	res, err := RunExperiment(e, Options{Scale: Quick, Profile: true})
+	res, err := RunExperiment(e, Options{Scale: Quick, Machine: rt.Config{Profile: true}})
 	if err != nil {
 		t.Fatal(err)
 	}

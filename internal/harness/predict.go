@@ -100,7 +100,10 @@ func runPredictError(o Options) (*Result, error) {
 // figure 5-7 sweeps — the structured half of the CI predict-validate gate
 // (the other half is the chaos seed band, predict.ChaosBandShifts).
 func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
-	o = o.withDefaults()
+	o, err := o.withDefaults()
+	if err != nil {
+		return nil, err
+	}
 	p := predictor{}
 	table := &predict.ErrorTable{}
 	for _, fig := range []struct {
@@ -126,11 +129,16 @@ func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
 	return table, nil
 }
 
+// PredictGateMAE bounds the predict-validate gate: the mean absolute
+// elapsed-time error of the PredictValidation table, in percent, must
+// stay under it (DESIGN.md §13).
+const PredictGateMAE = 15.0
+
 // PredictValidation builds the combined error table the CI
-// predict-validate job gates on: every figure 5-7 configuration plus a
-// chaos seed band at the 2x block-size extrapolation (shift 1). Wider
-// chaos extrapolations are validated separately with a looser bound
-// (predict.ChaosBand; DESIGN.md §13).
+// predict-validate job gates on (PredictGate): every figure 5-7
+// configuration plus a chaos seed band at the 2x block-size
+// extrapolation (shift 1). Wider chaos extrapolations are validated
+// separately with a looser bound (predict.ChaosBand; DESIGN.md §13).
 func PredictValidation(o Options, seeds int) (*predict.ErrorTable, error) {
 	table, err := FigureErrorTable(o)
 	if err != nil {
@@ -142,4 +150,14 @@ func PredictValidation(o Options, seeds int) (*predict.ErrorTable, error) {
 	}
 	table.Rows = append(table.Rows, band.Rows...)
 	return table, nil
+}
+
+// PredictGate checks a PredictValidation table against PredictGateMAE:
+// nil under the bound, an error naming the breach otherwise.
+func PredictGate(table *predict.ErrorTable) error {
+	if mae := table.MAE(); mae >= PredictGateMAE {
+		return fmt.Errorf("predict-validate: mean absolute error %.2f%% over %d rows breaches the %.0f%% gate",
+			mae, len(table.Rows), PredictGateMAE)
+	}
+	return nil
 }

@@ -21,17 +21,17 @@ func TestScaleCSVGolden(t *testing.T) {
 	}
 	path := filepath.Join("testdata", "golden", "scale.csv")
 	for _, o := range []Options{
-		{Scale: Quick, Sched: rt.SchedWheel},
-		{Scale: Quick, Sched: rt.SchedHeap},
-		{Scale: Quick, Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4},
+		{Scale: Quick, Machine: rt.Config{Sched: rt.SchedWheel}},
+		{Scale: Quick, Machine: rt.Config{Sched: rt.SchedHeap}},
+		{Scale: Quick, Machine: rt.Config{Sched: rt.SchedWheel, Engine: rt.EngineParallel, Workers: 4}},
 	} {
 		res, err := RunExperiment(e, o)
 		if err != nil {
-			t.Fatalf("scale (%s/%s): %v", o.Engine, o.Sched, err)
+			t.Fatalf("scale (%s/%s): %v", o.Machine.Engine, o.Machine.Sched, err)
 		}
 		var buf bytes.Buffer
 		res.CSV(&buf)
-		if *updateGolden && o.Engine != rt.EngineParallel && o.Sched == rt.SchedWheel {
+		if *updateGolden && o.Machine.Engine != rt.EngineParallel && o.Machine.Sched == rt.SchedWheel {
 			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +42,7 @@ func TestScaleCSVGolden(t *testing.T) {
 		}
 		if !bytes.Equal(buf.Bytes(), want) {
 			t.Errorf("scale engine %q sched %q diverges from %s:\n--- got ---\n%s--- want ---\n%s",
-				res.Engine, o.Sched, path, buf.Bytes(), want)
+				res.Engine, o.Machine.Sched, path, buf.Bytes(), want)
 		}
 	}
 }

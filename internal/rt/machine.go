@@ -91,12 +91,9 @@ type Config struct {
 	Aggregate bool
 	// AnticipateConflicts enables the conflict-anticipation extension.
 	AnticipateConflicts bool
-	// Trace, when positive, attaches a shared protocol-event ring of that
-	// capacity to every node (debugging/tests).
-	Trace int
-	// Sink, when non-nil, also receives every protocol trace event (a
-	// JSONL stream or Chrome trace_event exporter; see internal/trace).
-	// Trace and Sink compose: events fan out to both.
+	// Sink, when non-nil, receives every node's protocol trace events: a
+	// bounded trace.Ring (whose tail check.Machine attaches to violations),
+	// a JSONL stream or a Chrome trace_event exporter (internal/trace).
 	Sink trace.Sink
 	// MaxEvents, when positive, bounds simulation events (livelock guard).
 	MaxEvents int64
@@ -283,8 +280,6 @@ type Machine struct {
 	Proto  tempest.Protocol
 	Nodes  []*tempest.Node
 
-	// Ring is the shared protocol trace when Cfg.Trace > 0.
-	Ring *trace.Ring
 	// Reg is the machine's metrics registry; every node's instruments
 	// register here under an "nNN/" prefix.
 	Reg *metrics.Registry
@@ -371,22 +366,13 @@ func (m *Machine) Run(prog Program) error {
 		m.Kernel.UseSchedulerSized(sim.SchedWheel, c.Net.MinLatency(), 2*c.Nodes)
 	}
 	m.Kernel.MaxEvents = c.MaxEvents
-	var ring *trace.Ring
-	if c.Trace > 0 {
-		ring = trace.NewRing(c.Trace)
-		m.Ring = ring
-	}
-	sink := c.Sink
-	if ring != nil {
-		sink = trace.Multi(ring, c.Sink)
-	}
 	m.Nodes = make([]*tempest.Node, c.Nodes)
 	for i := 0; i < c.Nodes; i++ {
 		n := tempest.NewNode(i, m.AS, c.Net, m.Proto)
 		if c.Storage == blockstate.MapRef {
 			n.Dir = tempest.NewDirectoryRef(m.AS)
 		}
-		n.Trace = sink
+		n.Trace = c.Sink
 		n.UseMetrics(m.Reg)
 		if c.Record {
 			n.Rec = tempest.NewCommRecord()

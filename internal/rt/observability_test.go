@@ -14,7 +14,7 @@ import (
 // iteration loop (behind a barrier).
 func presendPipeline(t *testing.T, iters int, afterIters func(w *Worker)) *Machine {
 	t.Helper()
-	m := New(Config{Nodes: 2, BlockSize: 32, Protocol: ProtoPredictive, Trace: 64})
+	m := New(Config{Nodes: 2, BlockSize: 32, Protocol: ProtoPredictive, Sink: trace.NewRing(64)})
 	// 16 elements x 8B = 4 blocks; node 0 homes elements 0..7 (2 blocks).
 	arr := m.NewArray1D("x", 16, 1, false)
 	err := m.Run(func(w *Worker) {
@@ -132,7 +132,7 @@ func TestFlushSchedulesResetsHitCounters(t *testing.T) {
 func TestPhaseTraceSpans(t *testing.T) {
 	m := presendPipeline(t, 2, nil)
 	begins, ends := 0, 0
-	for _, e := range m.Ring.Events() {
+	for _, e := range m.Cfg.Sink.(*trace.Ring).Events() {
 		switch e.Kind {
 		case trace.PhaseBegin:
 			begins++

@@ -98,14 +98,7 @@ func runExperiment(spec Spec) *Result {
 	if err != nil {
 		return &Result{Err: err.Error()}
 	}
-	o := harness.Options{
-		Scale:   harness.ParseScale(spec.Scale),
-		Engine:  cfg.Engine,
-		Workers: cfg.Workers,
-		Net:     cfg.Net,
-		Profile: cfg.Profile,
-		Predict: spec.Predict,
-	}
+	o := harness.Options{Scale: harness.ParseScale(spec.Scale), Machine: cfg, Predict: spec.Predict}
 	csv, hres, err := harness.RunCSV(e, o)
 	if err != nil {
 		return &Result{Err: fmt.Sprintf("serve: experiment %s: %v", spec.Experiment, err)}

@@ -73,22 +73,6 @@ func TestRingEventsFor(t *testing.T) {
 	}
 }
 
-func TestMultiSkipsNils(t *testing.T) {
-	a := NewRing(4)
-	b := NewRing(4)
-	if Multi() != nil || Multi(nil) != nil {
-		t.Fatal("empty Multi must be nil")
-	}
-	if got := Multi(nil, a); got != Sink(a) {
-		t.Fatal("single live sink must be returned unwrapped")
-	}
-	m := Multi(a, nil, b)
-	m.Record(Event{At: 1, Node: 0, Kind: Send})
-	if a.Total() != 1 || b.Total() != 1 {
-		t.Fatalf("tee totals = %d, %d", a.Total(), b.Total())
-	}
-}
-
 func TestJSONLOutput(t *testing.T) {
 	var buf bytes.Buffer
 	j := NewJSONL(&buf)

@@ -98,32 +98,6 @@ type Sink interface {
 	Record(e Event)
 }
 
-// Multi fans events out to several sinks. Nil sinks are skipped; with
-// zero or one live sink the sink itself (or nil) is returned.
-func Multi(sinks ...Sink) Sink {
-	live := make(multiSink, 0, len(sinks))
-	for _, s := range sinks {
-		if s != nil {
-			live = append(live, s)
-		}
-	}
-	switch len(live) {
-	case 0:
-		return nil
-	case 1:
-		return live[0]
-	}
-	return live
-}
-
-type multiSink []Sink
-
-func (m multiSink) Record(e Event) {
-	for _, s := range m {
-		s.Record(e)
-	}
-}
-
 // Ring is a bounded event log shared by all nodes of one machine: the
 // cheapest backend, retaining the most recent events for post-mortem
 // dumps and invariant-violation context.

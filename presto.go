@@ -12,19 +12,15 @@
 //     parallel functions, runs the reaching-unstructured-accesses
 //     analysis, and places pre-send directives;
 //   - an interpreter (Execute) that runs compiled programs on the
-//     machine, letting the compiler's directives drive the protocol; and
-//   - the three paper applications and the experiment registry that
-//     regenerates every table and figure.
+//     machine, letting the compiler's directives drive the protocol.
+//
+// The paper's applications run through cmd/dsmrun and its experiments
+// through cmd/paperbench.
 package presto
 
 import (
-	"presto/internal/apps/adaptive"
-	"presto/internal/apps/barnes"
-	"presto/internal/apps/unstructured"
-	"presto/internal/apps/water"
 	"presto/internal/check"
 	"presto/internal/compiler"
-	"presto/internal/harness"
 	"presto/internal/interp"
 	"presto/internal/lang"
 	"presto/internal/rt"
@@ -96,82 +92,4 @@ type ExecuteResult = interp.Result
 // compiler's directives driving the predictive protocol.
 func Execute(a *Analysis, opt ExecuteOptions) (*ExecuteResult, error) {
 	return interp.Run(a, opt)
-}
-
-// Applications (paper §5).
-type (
-	// AdaptiveConfig configures the structured adaptive mesh benchmark.
-	AdaptiveConfig = adaptive.Config
-	// AdaptiveResult is an Adaptive run's outcome.
-	AdaptiveResult = adaptive.Result
-	// BarnesConfig configures the Barnes-Hut N-body benchmark.
-	BarnesConfig = barnes.Config
-	// BarnesResult is a Barnes run's outcome.
-	BarnesResult = barnes.Result
-	// WaterConfig configures the molecular-dynamics benchmark.
-	WaterConfig = water.Config
-	// WaterResult is a Water run's outcome.
-	WaterResult = water.Result
-	// UnstructuredConfig configures the irregular bipartite-mesh kernel
-	// (paper Figure 3) used for the inspector-executor comparison (§2).
-	UnstructuredConfig = unstructured.Config
-	// UnstructuredResult is an unstructured run's outcome.
-	UnstructuredResult = unstructured.Result
-)
-
-// Unstructured-kernel strategies.
-const (
-	// PlainStrategy runs the kernel with no optimization.
-	PlainStrategy = unstructured.Plain
-	// PredictiveStrategy runs it on the predictive protocol.
-	PredictiveStrategy = unstructured.Predictive
-	// InspectorStrategy runs it with CHAOS-style inspection and bulk
-	// gather execution.
-	InspectorStrategy = unstructured.InspectorExecutor
-)
-
-// RunAdaptive executes the Adaptive benchmark.
-func RunAdaptive(cfg AdaptiveConfig) (*AdaptiveResult, error) { return adaptive.Run(cfg) }
-
-// RunBarnes executes the Barnes benchmark.
-func RunBarnes(cfg BarnesConfig) (*BarnesResult, error) { return barnes.Run(cfg) }
-
-// RunWater executes the Water benchmark.
-func RunWater(cfg WaterConfig) (*WaterResult, error) { return water.Run(cfg) }
-
-// RunUnstructured executes the irregular bipartite-mesh kernel.
-func RunUnstructured(cfg UnstructuredConfig) (*UnstructuredResult, error) {
-	return unstructured.Run(cfg)
-}
-
-// Experiments.
-type (
-	// Experiment is one registered paper artifact (table/figure).
-	Experiment = harness.Experiment
-	// ExperimentResult holds an experiment's rows and derived notes.
-	ExperimentResult = harness.Result
-	// Scale selects quick (CI) or paper workload sizes.
-	Scale = harness.Scale
-	// ExperimentOptions selects the workload scale and kernel engine for
-	// an experiment run.
-	ExperimentOptions = harness.Options
-)
-
-// Scales.
-const (
-	// QuickScale runs CI-sized workloads.
-	QuickScale = harness.Quick
-	// PaperScale runs the paper's Table-1 workload sizes.
-	PaperScale = harness.Paper
-)
-
-// Experiments returns every registered paper artifact, sorted by ID.
-func Experiments() []Experiment { return harness.All() }
-
-// ExperimentByID looks up one artifact ("table1", "figure5", ...).
-func ExperimentByID(id string) (Experiment, bool) { return harness.ByID(id) }
-
-// RunExperiment executes one artifact with the given options.
-func RunExperiment(e Experiment, o ExperimentOptions) (*ExperimentResult, error) {
-	return harness.RunExperiment(e, o)
 }

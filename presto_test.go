@@ -69,57 +69,3 @@ func TestFacadeMachineAPI(t *testing.T) {
 		t.Fatal("no virtual time elapsed")
 	}
 }
-
-func TestFacadeApplications(t *testing.T) {
-	w, err := presto.RunWater(presto.WaterConfig{
-		Machine:   presto.Config{Nodes: 4, BlockSize: 32, Protocol: presto.Predictive},
-		Molecules: 32, Steps: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if w.Energy == 0 {
-		t.Fatal("water energy zero")
-	}
-	ad, err := presto.RunAdaptive(presto.AdaptiveConfig{
-		Machine: presto.Config{Nodes: 4, BlockSize: 32},
-		Size:    16, Iters: 6, RefineEvery: 2,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ad.Checksum == 0 {
-		t.Fatal("adaptive checksum zero")
-	}
-	ba, err := presto.RunBarnes(presto.BarnesConfig{
-		Machine: presto.Config{Nodes: 4, BlockSize: 32},
-		Bodies:  128, Iters: 1,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ba.Cells == 0 {
-		t.Fatal("barnes built no cells")
-	}
-}
-
-func TestFacadeExperimentRegistry(t *testing.T) {
-	exps := presto.Experiments()
-	if len(exps) < 9 {
-		t.Fatalf("experiments = %d", len(exps))
-	}
-	e, ok := presto.ExperimentByID("figure4")
-	if !ok {
-		t.Fatal("figure4 missing")
-	}
-	res, err := presto.RunExperiment(e, presto.ExperimentOptions{Scale: presto.QuickScale})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ID != "figure4" {
-		t.Fatalf("result id = %s", res.ID)
-	}
-	if _, ok := presto.ExperimentByID("nope"); ok {
-		t.Fatal("bogus experiment found")
-	}
-}
