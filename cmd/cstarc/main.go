@@ -17,6 +17,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 
 	"presto/internal/compiler"
 	"presto/internal/interp"
@@ -85,8 +86,13 @@ func main() {
 		res.Counters.ReadFaults, res.Counters.WriteFaults, res.Counters.PresendsSent)
 	if len(res.Scalars) > 0 {
 		fmt.Println("final scalars:")
-		for k, v := range res.Scalars {
-			fmt.Printf("  %s = %g\n", k, v)
+		names := make([]string, 0, len(res.Scalars))
+		for k := range res.Scalars {
+			names = append(names, k)
+		}
+		slices.Sort(names)
+		for _, k := range names {
+			fmt.Printf("  %s = %g\n", k, res.Scalars[k])
 		}
 	}
 }

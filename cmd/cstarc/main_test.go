@@ -34,8 +34,14 @@ func main() { let g = A[16]; f(g); let s = reduce(+, g.x); }
 // program, and returns its exit status, stdout and stderr.
 func run(t *testing.T, args string) (int, string, string) {
 	t.Helper()
+	return runSrc(t, program, args)
+}
+
+// runSrc is run on the program src.
+func runSrc(t *testing.T, src, args string) (int, string, string) {
+	t.Helper()
 	path := filepath.Join(t.TempDir(), "p.cstar")
-	if err := os.WriteFile(path, []byte(program), 0o644); err != nil {
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var stdout, stderr bytes.Buffer
@@ -93,5 +99,30 @@ func TestMachineFlagsNeedRun(t *testing.T) {
 	code, stdout, stderr := run(t, "-nodes 0 -block 24")
 	if code != 0 || stdout == "" || stderr != "" {
 		t.Fatalf("exit %d, stdout %q, stderr %q; want the analysis report", code, stdout, stderr)
+	}
+}
+
+// TestFinalScalarsSorted: the final scalars print in name order, so two
+// runs of one program print the same bytes.
+func TestFinalScalarsSorted(t *testing.T) {
+	const src = `aggregate A[] { float x; }
+parallel func f(parallel a: A) { a.x = #0; }
+func main() { let g = A[8]; f(g); let zeta = 3; let alpha = 1; let mid = reduce(+, g.x); let beta = 2; }
+`
+	var outs [2]string
+	for k := range outs {
+		code, stdout, stderr := runSrc(t, src, "-run -nodes 2")
+		if code != 0 {
+			t.Fatalf("exit %d, stderr %q", code, stderr)
+		}
+		outs[k] = stdout
+	}
+	if outs[0] != outs[1] {
+		t.Fatalf("two runs printed different output:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	_, scalars, _ := strings.Cut(outs[0], "final scalars:\n")
+	want := "  alpha = 1\n  beta = 2\n  mid = 28\n  zeta = 3\n"
+	if scalars != want {
+		t.Fatalf("final scalars %q, want %q", scalars, want)
 	}
 }

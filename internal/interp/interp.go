@@ -11,6 +11,11 @@
 // closures, and a field read also owns a tempest.Cursor in the frame, so a
 // read of the block run its site read last costs a range check and an
 // epoch compare; directives attach to the statements of main they precede.
+// Leaves are specialised at lowering: a slot or constant operand of +, -, *
+// or / is loaded inside its operator's closure rather than called, x = x op e
+// on a slot is one update closure, a field of the running element or of
+// element #0 + slot is addressed inside the read's closure, and intrinsics
+// are direct calls into math.
 //
 // Simulated cost: in parallel code each literal, name, position, operator,
 // intrinsic and field read costs one Options.CostOp, a field write two.
@@ -292,7 +297,14 @@ func reduce(w *rt.Worker, h *aggHandle, field int, op lang.Kind, costOp sim.Time
 		// logarithms would lose sign and precision.
 		fail("product reductions are not supported")
 	}
+	// A worker that owns no elements contributes the fold's identity.
 	var acc float64
+	switch op {
+	case lang.Gt:
+		acc = math.Inf(-1)
+	case lang.Lt:
+		acc = math.Inf(1)
+	}
 	rlo, rhi, clo, chi := h.owned(w)
 	p := &h.planes[field]
 	for i := rlo; i < rhi; i++ {

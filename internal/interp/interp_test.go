@@ -359,3 +359,30 @@ func TestUnknownCallRejected(t *testing.T) {
 		t.Fatal("unknown intrinsic accepted")
 	}
 }
+
+// TestReduceExtremaOverEmptyWorkers: on a machine with more nodes than
+// elements (1-D) or tiles (tiled 2-D) some workers own nothing, and their
+// share must not stand in for an element: max of all-negative values and
+// min of all-positive ones come out as the extreme element.
+func TestReduceExtremaOverEmptyWorkers(t *testing.T) {
+	srcs := map[string]string{
+		"1-D": `aggregate A[] { float neg; float pos; }
+			parallel func f(parallel a: A) { a.neg = -1 - #0; a.pos = 1 + #0; }
+			func main() { let g = A[4]; f(g); let hi = reduce(>, g.neg); let lo = reduce(<, g.pos); }`,
+		"tiled 2-D": `aggregate C[,] tiled { float neg; float pos; }
+			parallel func f(parallel c: C) { c.neg = -1 - #0 - #1; c.pos = 1 + #0 + #1; }
+			func main() { let g = C[2, 2]; f(g); let hi = reduce(>, g.neg); let lo = reduce(<, g.pos); }`,
+	}
+	for name, src := range srcs {
+		a := analyze(t, src)
+		for _, nodes := range []int{2, 8, 16} {
+			r, err := Run(a, runOpts(nodes, rt.ProtoStache))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hi, lo := r.Scalars["hi"], r.Scalars["lo"]; hi != -1 || lo != 1 {
+				t.Errorf("%s on %d nodes: reduce(>) = %v, reduce(<) = %v; want -1 and 1", name, nodes, hi, lo)
+			}
+		}
+	}
+}

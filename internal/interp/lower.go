@@ -32,6 +32,38 @@ type (
 	addrFn func(*frame) (memory.Addr, bool)
 )
 
+// leaf classifies an operand: a slot (a local, a loop variable or a
+// scalar parameter), a constant, or anything else.
+type leaf uint8
+
+const (
+	other leaf = iota
+	slot
+	constant
+)
+
+// operand is a lowered expression and its cost in CostOp units; a leaf
+// says what it reads, and a +, -, * or / node keeps its operator and
+// operands, so statements and indexes specialise without relowering.
+type operand struct {
+	f    expr
+	n    int
+	leaf leaf
+	k    int     // a slot leaf's slot
+	c    float64 // a constant leaf's value
+	op   lang.Kind
+	l, r *operand
+}
+
+// place is a lowered element address in plane k. A read of the running
+// element (own), or of element #0 + slot s of one index (shift),
+// addresses inline; anything else calls at.
+type place struct {
+	at         addrFn
+	k, s       int
+	own, shift bool
+}
+
 // lowerer holds what all bodies of one program share.
 type lowerer struct {
 	a         *compiler.Analysis
@@ -87,9 +119,9 @@ func (l *lowerer) function(f *lang.FuncDecl) *body {
 }
 
 // failure returns code that raises a run error when executed.
-func failure(format string, args ...any) expr {
+func failure(format string, args ...any) operand {
 	err := &evalError{fmt.Errorf("interp: "+format, args...)}
-	return func(*frame) float64 { panic(err) }
+	return operand{f: func(*frame) float64 { panic(err) }, n: 1}
 }
 
 // effect evaluates e for its effects at a cost of n.
@@ -196,14 +228,15 @@ func (b *body) stmt1(s lang.Stmt) stmt {
 			if main {
 				return nop // bound at allocation
 			}
-			return effect(0, failure("aggregate instantiation inside parallel function"))
+			return effect(0, failure("aggregate instantiation inside parallel function").f)
 		}
-		val, n := b.expr(v.Value)
-		return set(b.declare(v.Name, v.Pos), n, val)
+		val := b.expr(v.Value)
+		return set(b.declare(v.Name, v.Pos), val.n, val.f)
 	case *lang.AssignStmt:
 		return b.assign(v)
 	case *lang.IfStmt:
-		cond, n := b.expr(v.Cond)
+		c := b.expr(v.Cond)
+		cond, n := c.f, c.n
 		then, els := b.block(v.Then), stmt(nop)
 		if v.Else != nil {
 			els = b.block(v.Else)
@@ -216,9 +249,8 @@ func (b *body) stmt1(s lang.Stmt) stmt {
 			return els(fr)
 		}
 	case *lang.ForStmt:
-		from, n1 := b.expr(v.From)
-		to, n2 := b.expr(v.To)
-		n := n1 + n2
+		lo, hi := b.expr(v.From), b.expr(v.To)
+		from, to, n := lo.f, hi.f, lo.n+hi.n
 		// The loop variable and the body's own lets share one scope.
 		b.push(true)
 		k := b.declare(v.Var, v.Pos)
@@ -239,11 +271,11 @@ func (b *body) stmt1(s lang.Stmt) stmt {
 		if call, ok := v.X.(*lang.CallExpr); ok && main {
 			return b.call(call)
 		}
-		x, n := b.expr(v.X)
-		return effect(n, x)
+		x := b.expr(v.X)
+		return effect(x.n, x.f)
 	case *lang.ReturnStmt:
 		if main {
-			return effect(0, failure("return in main is not supported"))
+			return effect(0, failure("return in main is not supported").f)
 		}
 		return func(*frame) bool { return true }
 	}
@@ -253,21 +285,38 @@ func (b *body) stmt1(s lang.Stmt) stmt {
 func (b *body) assign(v *lang.AssignStmt) stmt {
 	tgt, isVar := v.Target.(*lang.VarRef)
 	if !isVar && b.fn == nil {
-		return effect(0, failure("main may not write aggregate elements directly"))
+		return effect(0, failure("main may not write aggregate elements directly").f)
 	}
-	val, n := b.expr(v.Value)
+	val := b.expr(v.Value)
+	n, vf := val.n, val.f
 	if isVar {
-		if k, ok := b.lookup(tgt.Name); ok {
-			return set(k, n, val)
+		k, ok := b.lookup(tgt.Name)
+		switch {
+		case ok && val.l != nil && val.l.leaf == slot && val.l.k == k:
+			return update(k, val)
+		case ok:
+			return set(k, n, vf)
 		}
 		// The value, then the error.
-		return effect(n, binary(lang.Plus, val, failure("assignment to undeclared variable %q", tgt.Name)))
+		bad := failure("assignment to undeclared variable %q", tgt.Name).f
+		return effect(n, func(fr *frame) float64 { vf(fr); return bad(fr) })
 	}
-	at, m := b.field(v.Target.(*lang.FieldAccess))
+	pl, m := b.field(v.Target.(*lang.FieldAccess))
 	n += m + 2
+	at, k := pl.at, pl.k
+	if pl.own {
+		return func(fr *frame) bool {
+			fr.ops += n
+			x := vf(fr)
+			if a, ok := fr.planes[k].addr(fr.i, fr.j); ok {
+				fr.w.WriteF64(a, x)
+			}
+			return false
+		}
+	}
 	return func(fr *frame) bool {
 		fr.ops += n
-		x := val(fr)
+		x := vf(fr)
 		if a, ok := at(fr); ok {
 			fr.w.WriteF64(a, x)
 		} // out-of-range writes are dropped (boundary convention)
@@ -275,94 +324,174 @@ func (b *body) assign(v *lang.AssignStmt) stmt {
 	}
 }
 
-// expr lowers an expression and returns its cost in CostOp units.
-func (b *body) expr(x lang.Expr) (expr, int) {
+// update runs x = x op e, lowered as v, on x's slot k.
+func update(k int, v operand) stmt {
+	n, r := v.n, v.r.f
+	return arith(v.op,
+		func(fr *frame) bool { fr.ops += n; x := fr.slots[k]; fr.slots[k] = x + r(fr); return false },
+		func(fr *frame) bool { fr.ops += n; x := fr.slots[k]; fr.slots[k] = x - r(fr); return false },
+		func(fr *frame) bool { fr.ops += n; x := fr.slots[k]; fr.slots[k] = x * r(fr); return false },
+		func(fr *frame) bool { fr.ops += n; x := fr.slots[k]; fr.slots[k] = x / r(fr); return false })
+}
+
+// expr lowers an expression.
+func (b *body) expr(x lang.Expr) operand {
 	main := b.fn == nil
 	switch v := x.(type) {
 	case *lang.NumberLit:
 		c := v.Value
-		return func(*frame) float64 { return c }, 1
+		return operand{f: func(*frame) float64 { return c }, n: 1, leaf: constant, c: c}
 	case *lang.PosRef:
 		switch {
 		case main:
-			return failure("#%d outside a parallel function", v.Dim), 1
+			return failure("#%d outside a parallel function", v.Dim)
 		case v.Dim == 0:
-			return func(fr *frame) float64 { return float64(fr.i) }, 1
+			return operand{f: func(fr *frame) float64 { return float64(fr.i) }, n: 1}
 		}
-		return func(fr *frame) float64 { return float64(fr.j) }, 1
+		return operand{f: func(fr *frame) float64 { return float64(fr.j) }, n: 1}
 	case *lang.VarRef:
-		return b.varRef(v), 1
+		return b.varRef(v)
 	case *lang.FieldAccess:
 		if main {
-			return failure("main may not read aggregate elements directly; use reduce"), 1
+			return failure("main may not read aggregate elements directly; use reduce")
 		}
-		at, n := b.field(v)
+		pl, n := b.field(v)
 		site := b.sites
 		b.sites++
-		return func(fr *frame) float64 {
-			if a, ok := at(fr); ok {
-				return fr.w.Node.ReadF64At(fr.w.P, &fr.curs[site], a)
+		at, k, s := pl.at, pl.k, pl.s
+		f := func(fr *frame) float64 { a, ok := at(fr); return load(fr, site, a, ok) }
+		switch {
+		case pl.own:
+			f = func(fr *frame) float64 { a, ok := fr.planes[k].addr(fr.i, fr.j); return load(fr, site, a, ok) }
+		case pl.shift:
+			f = func(fr *frame) float64 {
+				a, ok := fr.planes[k].addr(int(float64(fr.i)+fr.slots[s]), 0)
+				return load(fr, site, a, ok)
 			}
-			return 0 // boundary value
-		}, n + 1
-	case *lang.BinaryExpr:
-		l, n1 := b.expr(v.L)
-		r, n2 := b.expr(v.R)
-		return binary(v.Op, l, r), n1 + n2 + 1
-	case *lang.UnaryExpr:
-		a, n := b.expr(v.X)
-		if v.Op == lang.Minus {
-			return func(fr *frame) float64 { return -a(fr) }, n + 1
 		}
-		return func(fr *frame) float64 { return bool2f(a(fr) == 0) }, n + 1
+		return operand{f: f, n: n + 1}
+	case *lang.BinaryExpr:
+		return binary(v.Op, b.expr(v.L), b.expr(v.R))
+	case *lang.UnaryExpr:
+		a := b.expr(v.X)
+		af := a.f
+		if v.Op == lang.Minus {
+			return operand{f: func(fr *frame) float64 { return -af(fr) }, n: a.n + 1}
+		}
+		return operand{f: func(fr *frame) float64 { return bool2f(af(fr) == 0) }, n: a.n + 1}
 	case *lang.CallExpr:
 		return b.intrinsic(v)
 	case *lang.ReduceExpr:
 		if !main {
-			return failure("reduce inside parallel functions is not supported"), 1
+			return failure("reduce inside parallel functions is not supported")
 		}
-		return b.reduce(v), 1
+		return b.reduce(v)
 	}
-	return func(*frame) float64 { return 0 }, 1
+	return operand{f: func(*frame) float64 { return 0 }, n: 1}
 }
 
-func binary(op lang.Kind, l, r expr) expr {
-	switch op {
-	case lang.Plus:
-		return func(fr *frame) float64 { return l(fr) + r(fr) }
-	case lang.Minus:
-		return func(fr *frame) float64 { return l(fr) - r(fr) }
-	case lang.Star:
-		return func(fr *frame) float64 { return l(fr) * r(fr) }
-	case lang.Slash:
-		return func(fr *frame) float64 { return l(fr) / r(fr) }
+// load reads the element at a through read site site's cursor; an
+// element out of range (ok false) reads as the boundary value 0.
+func load(fr *frame, site int, a memory.Addr, ok bool) float64 {
+	if ok {
+		return fr.w.Node.ReadF64At(fr.w.P, &fr.curs[site], a)
 	}
-	return func(fr *frame) float64 { return applyBinary(op, l(fr), r(fr)) }
+	return 0
 }
 
-func (b *body) varRef(v *lang.VarRef) expr {
-	if k, ok := b.lookup(v.Name); ok {
-		return func(fr *frame) float64 { return fr.slots[k] }
+// binary lowers l op r. For +, -, * and / it emits one closure per shape
+// of slot, constant and other operands, and a slot left of another
+// operand is loaded first, which keeps left-before-right evaluation.
+func binary(op lang.Kind, l, r operand) operand {
+	lf, rf, i, j, c, d := l.f, r.f, l.k, r.k, l.c, r.c
+	out := operand{n: l.n + r.n + 1}
+	if op < lang.Plus || op > lang.Slash {
+		out.f = func(fr *frame) float64 { return applyBinary(op, lf(fr), rf(fr)) }
+		return out
 	}
-	if b.fn == nil {
-		return failure("unknown variable %q in main", v.Name)
-	}
-	k := paramIndex(b.fn, v.Name)
+	out.op, out.l, out.r = op, &l, &r
 	switch {
-	case k < 0:
-		return failure("unknown variable %q", v.Name)
-	case !scalarType(b.fn.Params[k].Type):
-		return failure("aggregate %q used as scalar", v.Name)
+	case l.leaf == slot && r.leaf == slot:
+		out.f = arith(op,
+			func(fr *frame) float64 { return fr.slots[i] + fr.slots[j] },
+			func(fr *frame) float64 { return fr.slots[i] - fr.slots[j] },
+			func(fr *frame) float64 { return fr.slots[i] * fr.slots[j] },
+			func(fr *frame) float64 { return fr.slots[i] / fr.slots[j] })
+	case l.leaf == slot && r.leaf == constant:
+		out.f = arith(op,
+			func(fr *frame) float64 { return fr.slots[i] + d },
+			func(fr *frame) float64 { return fr.slots[i] - d },
+			func(fr *frame) float64 { return fr.slots[i] * d },
+			func(fr *frame) float64 { return fr.slots[i] / d })
+	case l.leaf == constant && r.leaf == slot:
+		out.f = arith(op,
+			func(fr *frame) float64 { return c + fr.slots[j] },
+			func(fr *frame) float64 { return c - fr.slots[j] },
+			func(fr *frame) float64 { return c * fr.slots[j] },
+			func(fr *frame) float64 { return c / fr.slots[j] })
+	case l.leaf == slot:
+		out.f = arith(op,
+			func(fr *frame) float64 { x := fr.slots[i]; return x + rf(fr) },
+			func(fr *frame) float64 { x := fr.slots[i]; return x - rf(fr) },
+			func(fr *frame) float64 { x := fr.slots[i]; return x * rf(fr) },
+			func(fr *frame) float64 { x := fr.slots[i]; return x / rf(fr) })
+	case r.leaf == slot:
+		out.f = arith(op,
+			func(fr *frame) float64 { return lf(fr) + fr.slots[j] },
+			func(fr *frame) float64 { return lf(fr) - fr.slots[j] },
+			func(fr *frame) float64 { return lf(fr) * fr.slots[j] },
+			func(fr *frame) float64 { return lf(fr) / fr.slots[j] })
+	case l.leaf == constant:
+		out.f = arith(op,
+			func(fr *frame) float64 { return c + rf(fr) },
+			func(fr *frame) float64 { return c - rf(fr) },
+			func(fr *frame) float64 { return c * rf(fr) },
+			func(fr *frame) float64 { return c / rf(fr) })
+	case r.leaf == constant:
+		out.f = arith(op,
+			func(fr *frame) float64 { return lf(fr) + d },
+			func(fr *frame) float64 { return lf(fr) - d },
+			func(fr *frame) float64 { return lf(fr) * d },
+			func(fr *frame) float64 { return lf(fr) / d })
+	default:
+		out.f = arith(op,
+			func(fr *frame) float64 { return lf(fr) + rf(fr) },
+			func(fr *frame) float64 { return lf(fr) - rf(fr) },
+			func(fr *frame) float64 { return lf(fr) * rf(fr) },
+			func(fr *frame) float64 { return lf(fr) / rf(fr) })
 	}
-	return func(fr *frame) float64 { return fr.slots[k] }
+	return out
+}
+
+// arith picks op's form from the +, -, * and / forms of one shape.
+func arith[F any](op lang.Kind, add, sub, mul, div F) F {
+	return [...]F{add, sub, mul, div}[op-lang.Plus]
+}
+
+func (b *body) varRef(v *lang.VarRef) operand {
+	k, ok := b.lookup(v.Name)
+	switch {
+	case ok:
+	case b.fn == nil:
+		return failure("unknown variable %q in main", v.Name)
+	default:
+		k = paramIndex(b.fn, v.Name)
+		if k < 0 {
+			return failure("unknown variable %q", v.Name)
+		}
+		if !scalarType(b.fn.Params[k].Type) {
+			return failure("aggregate %q used as scalar", v.Name)
+		}
+	}
+	return operand{f: func(fr *frame) float64 { return fr.slots[k] }, n: 1, leaf: slot, k: k}
 }
 
 // field lowers the element address of a field access in a parallel
 // function, and returns the cost of its index expressions.
-func (b *body) field(fa *lang.FieldAccess) (addrFn, int) {
-	bad := func(format string, args ...any) (addrFn, int) {
-		e := failure(format, args...)
-		return func(fr *frame) (memory.Addr, bool) { e(fr); return 0, false }, 0
+func (b *body) field(fa *lang.FieldAccess) (place, int) {
+	bad := func(format string, args ...any) (place, int) {
+		e := failure(format, args...).f
+		return place{at: func(fr *frame) (memory.Addr, bool) { e(fr); return 0, false }}, 0
 	}
 	pi := paramIndex(b.fn, fa.Base)
 	if pi < 0 {
@@ -384,46 +513,66 @@ func (b *body) field(fa *lang.FieldAccess) (addrFn, int) {
 	}
 	switch len(fa.Index) {
 	case 0:
-		return func(fr *frame) (memory.Addr, bool) { return fr.planes[k].addr(fr.i, fr.j) }, 0
+		return place{k: k, own: true}, 0
 	case 1:
-		ix, n := b.expr(fa.Index[0])
-		return func(fr *frame) (memory.Addr, bool) { return fr.planes[k].addr(int(ix(fr)), 0) }, n
+		ix := b.expr(fa.Index[0])
+		ixf := ix.f
+		pl := place{at: func(fr *frame) (memory.Addr, bool) { return fr.planes[k].addr(int(ixf(fr)), 0) }, k: k}
+		if p, ok := fa.Index[0].(*lang.BinaryExpr); ok && ix.op == lang.Plus && ix.r.leaf == slot {
+			if pr, ok := p.L.(*lang.PosRef); ok && pr.Dim == 0 {
+				pl.shift, pl.s = true, ix.r.k
+			}
+		}
+		return pl, ix.n
 	}
-	ix, n1 := b.expr(fa.Index[0])
-	jx, n2 := b.expr(fa.Index[1])
-	return func(fr *frame) (memory.Addr, bool) {
-		i := int(ix(fr))
-		return fr.planes[k].addr(i, int(jx(fr)))
-	}, n1 + n2
+	ix, jx := b.expr(fa.Index[0]), b.expr(fa.Index[1])
+	ixf, jxf := ix.f, jx.f
+	return place{at: func(fr *frame) (memory.Addr, bool) { return fr.planes[k].addr(int(ixf(fr)), int(jxf(fr))) }, k: k}, ix.n + jx.n
 }
 
-// intrinsics are the built-in math functions (the numeric intrinsics C**
-// inherited from C++).
-var intrinsics = map[string]any{"sqrt": math.Sqrt, "abs": math.Abs, "floor": math.Floor, "min": math.Min, "max": math.Max}
-
-func (b *body) intrinsic(c *lang.CallExpr) (expr, int) {
-	fn, ok := intrinsics[c.Callee]
-	if !ok {
-		return failure("call to %q: only intrinsics (sqrt, abs, floor, min, max) may be called in expressions", c.Callee), 1
-	}
-	f1, unary := fn.(func(float64) float64)
-	arity := 2
-	if unary {
-		arity = 1
+// intrinsic lowers a call to a built-in math function (the numeric
+// intrinsics C** inherited from C++) to a direct call.
+func (b *body) intrinsic(c *lang.CallExpr) operand {
+	arity := 1
+	switch c.Callee {
+	case "sqrt", "abs", "floor":
+	case "min", "max":
+		arity = 2
+	default:
+		return failure("call to %q: only intrinsics (sqrt, abs, floor, min, max) may be called in expressions", c.Callee)
 	}
 	if len(c.Args) != arity {
-		return failure("%s expects %d argument(s), got %d", c.Callee, arity, len(c.Args)), 1
+		return failure("%s expects %d argument(s), got %d", c.Callee, arity, len(c.Args))
 	}
-	x, n := b.expr(c.Args[0])
-	if unary {
-		return func(fr *frame) float64 { return f1(x(fr)) }, n + 1
+	x := b.expr(c.Args[0])
+	xf, k := x.f, x.k
+	if arity == 2 {
+		y := b.expr(c.Args[1])
+		yf, n := y.f, x.n+y.n+1
+		if c.Callee == "min" {
+			return operand{f: func(fr *frame) float64 { return math.Min(xf(fr), yf(fr)) }, n: n}
+		}
+		return operand{f: func(fr *frame) float64 { return math.Max(xf(fr), yf(fr)) }, n: n}
 	}
-	f2 := fn.(func(float64, float64) float64)
-	y, m := b.expr(c.Args[1])
-	return func(fr *frame) float64 { return f2(x(fr), y(fr)) }, n + m + 1
+	out := operand{n: x.n + 1}
+	switch onSlot := x.leaf == slot; {
+	case c.Callee == "sqrt" && onSlot:
+		out.f = func(fr *frame) float64 { return math.Sqrt(fr.slots[k]) }
+	case c.Callee == "sqrt":
+		out.f = func(fr *frame) float64 { return math.Sqrt(xf(fr)) }
+	case c.Callee == "abs" && onSlot:
+		out.f = func(fr *frame) float64 { return math.Abs(fr.slots[k]) }
+	case c.Callee == "abs":
+		out.f = func(fr *frame) float64 { return math.Abs(xf(fr)) }
+	case onSlot:
+		out.f = func(fr *frame) float64 { return math.Floor(fr.slots[k]) }
+	default:
+		out.f = func(fr *frame) float64 { return math.Floor(xf(fr)) }
+	}
+	return out
 }
 
-func (b *body) reduce(r *lang.ReduceExpr) expr {
+func (b *body) reduce(r *lang.ReduceExpr) operand {
 	h := b.aggs[r.Base]
 	if h == nil {
 		return failure("reduce over unknown aggregate %q", r.Base)
@@ -433,7 +582,7 @@ func (b *body) reduce(r *lang.ReduceExpr) expr {
 		return failure("aggregate %s has no field %q", h.decl.Name, r.Field)
 	}
 	op, costOp := r.Op, b.costOp
-	return func(fr *frame) float64 { return reduce(fr.w, h, field, op, costOp) }
+	return operand{f: func(fr *frame) float64 { return reduce(fr.w, h, field, op, costOp) }, n: 1}
 }
 
 // call lowers a parallel function invocation in main: a data-parallel
@@ -441,7 +590,7 @@ func (b *body) reduce(r *lang.ReduceExpr) expr {
 func (b *body) call(c *lang.CallExpr) stmt {
 	f := b.a.Prog.Func(c.Callee)
 	if f == nil || !f.Parallel {
-		return effect(0, failure("call to non-parallel function %q in main", c.Callee))
+		return effect(0, failure("call to non-parallel function %q in main", c.Callee).f)
 	}
 	pf := b.function(f)
 	// Arguments bind in order: scalars into the function's parameter
@@ -453,17 +602,17 @@ func (b *body) call(c *lang.CallExpr) stmt {
 	for i, arg := range c.Args {
 		p := f.Params[i]
 		if scalarType(p.Type) {
-			x, _ := b.expr(arg)
+			x := b.expr(arg).f
 			binds = append(binds, func(fr *frame) bool { fr.par[i] = x(fr); return false })
 			continue
 		}
 		vr, ok := arg.(*lang.VarRef)
 		if !ok {
-			bad = failure("aggregate argument %d of %s must be a variable", i, c.Callee)
+			bad = failure("aggregate argument %d of %s must be a variable", i, c.Callee).f
 		} else if h := b.aggs[vr.Name]; h == nil {
-			bad = failure("unknown aggregate %q", vr.Name)
+			bad = failure("unknown aggregate %q", vr.Name).f
 		} else if h.decl.Name != p.Type {
-			bad = failure("aggregate %q has type %s, want %s", vr.Name, h.decl.Name, p.Type)
+			bad = failure("aggregate %q has type %s, want %s", vr.Name, h.decl.Name, p.Type).f
 		} else {
 			handles[i] = h
 			continue
@@ -472,7 +621,7 @@ func (b *body) call(c *lang.CallExpr) stmt {
 	}
 	par := slices.Index(f.Params, f.ParallelParam())
 	if bad == nil && handles[par] == nil {
-		bad = failure("parallel parameter %q of %s must be an aggregate", f.Params[par].Name, f.Name)
+		bad = failure("parallel parameter %q of %s must be an aggregate", f.Params[par].Name, f.Name).f
 	}
 	planes := make([]plane, len(pf.fields))
 	if bad != nil {

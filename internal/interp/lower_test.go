@@ -158,6 +158,83 @@ func main() {
 }
 `
 
+// shapesSrc runs every operand shape the lowering specialises: slot,
+// constant and other operands on each side of +, -, * and /; the update
+// form x = x op e and the x = e op x form that must not take it; each
+// intrinsic on a slot and on an expression; #0 + k indexes with fractional
+// k and #1 + k on a 2-D aggregate; and the constants -0, Inf and NaN.
+var shapesSrc = strings.ReplaceAll(`
+aggregate S[] { float x; float y; float ss; float sc; float cs; float se; float es; float ce; float ec; float ee;
+  float up; float down; float intr; float idx; float w; float nz; float inf; float nan; }
+aggregate G[,] { float v; float w; }
+parallel func seed(parallel s: S) { s.x = #0 * 0.75 - 3.125; s.y = 2.25 - #0 * 0.5; }
+parallel func gseed(parallel g: G) { g.v = #0 * 4 + #1 * 0.5 - 1; }
+parallel func shapes(parallel s: S, p: float) {
+  let a = s.x;
+  let b = p - #0 + 0.125;
+  s.ss = (a + b) + (a - b) * 3 + (a * b) * 5 + (a / b) * 7;
+  s.sc = (a + 2.5) + (a - 2.5) * 3 + (a * 2.5) * 5 + (a / 2.5) * 7;
+  s.cs = (2.5 + b) + (2.5 - b) * 3 + (2.5 * b) * 5 + (2.5 / b) * 7;
+  s.se = (a + s.y) + (a - s[#0 + 1].y) * 3 + (a * s.y) * 5 + (a / (s[#0 - 1].y + 0.0625)) * 7;
+  s.es = (s.y + b) + (s[#0 + 1].y - b) * 3 + (s.y * b) * 5 + (s[#0 - 1].y / b) * 7;
+  s.ce = (2.5 + s.y) + (2.5 - s.y) * 3 + (2.5 * s[#0 + 1].y) * 5 + (2.5 / s.y) * 7;
+  s.ec = (s.y + 2.5) + (s.y - 2.5) * 3 + (s.y * 2.5) * 5 + (s.y / 2.5) * 7;
+  s.ee = (s.y + s.x) + (s.y - s.x) * 3 + (s.y * s[#0 + 2].x) * 5 + (s.y / s.x) * 7;
+  let acc = a;
+  acc = acc + acc * s[#0 + 1].x;
+  acc = acc - s.y;
+  acc = acc * (b + 1);
+  acc = acc / (s[#0 + 2].x + 0.5);
+  acc = acc + b;
+  acc = acc - 1;
+  acc = acc * 0.5;
+  acc = acc / b;
+  s.up = acc;
+  let rev = b;
+  rev = s.y + rev;
+  rev = 3 - rev;
+  rev = s[#0 + 1].x - rev;
+  rev = 2 / rev;
+  s.down = rev;
+  let q = a * a + 1;
+  let f = a * 1.5;
+  s.intr = sqrt(q) + sqrt(s.y * s.y + 2) + abs(b) + abs(s.y - 3) + floor(f) + floor(s.y * 1.5)
+    + min(a, b) + max(a, s.y) + min(s.y, 2) + max(b, 0.5);
+  let h = 0.5;
+  let m = -0.5;
+  s.idx = s[#0 + h].x + s[#0 + m].x * 3 + s[#0 + p].y * 5;
+  s[#0 + h].w = s[#0 + m].y;
+  let nz = -0;
+  let big = @BIG@;
+  s.nz = 1 / (nz + nz) + 1 / (nz * a) + nz;
+  s.inf = big * 10 - a * (big * 10) + b / (big * 10);
+  s.nan = 0 / 0 + a + (nz / nz) * b;
+}
+parallel func grid(parallel g: G, k: float) {
+  g.w = g[#0, #1 + k].v + g[#1 + k].v * 3 + g[#0 + k, #1].v * 5;
+}
+func main() {
+  let s = S[16];
+  let g = G[6, 6];
+  seed(s);
+  gseed(g);
+  let p = 3;
+  for it in 0..2 {
+    shapes(s, p);
+    grid(g, 0.5);
+    grid(g, -0.5);
+    p = p + 1.25;
+  }
+  let total = reduce(+, s.ss) + reduce(+, s.sc) + reduce(+, s.cs) + reduce(+, s.se) + reduce(+, s.es);
+  total = total + reduce(+, s.ce) + reduce(+, s.ec) + reduce(+, s.ee) + reduce(+, s.up) + reduce(+, s.down);
+  let tail = reduce(+, s.intr) + reduce(+, s.idx) + reduce(+, s.w) + reduce(+, g.w);
+  let inf = reduce(>, s.inf);
+  let nan = reduce(+, s.nan);
+  let nz = -0;
+  let r = sqrt(p) + abs(nz - p) + floor(p) + min(p, 2) + max(tail, p);
+}
+`, "@BIG@", "1"+strings.Repeat("0", 308))
+
 // testPrograms names every program this package's tests run.
 func testPrograms(t testing.TB) map[string]string {
 	progs := map[string]string{
@@ -165,7 +242,7 @@ func testPrograms(t testing.TB) map[string]string {
 		"rowblock": tiledSrc("rowblock"), "tiled": tiledSrc("tiled"),
 		"intrinsics": intrinsicsSrc, "unknown-call": unknownCallSrc,
 		"unexecuted-errors": unexecutedErrorSrc, "scatter": scatterSrc,
-		"reread": rereadSrc,
+		"reread": rereadSrc, "shapes": shapesSrc,
 	}
 	for k, src := range interpErrorCases {
 		progs[fmt.Sprintf("interp-error-%d", k)] = src
@@ -371,25 +448,47 @@ func smallWork(p *lang.Program) bool {
 
 // TestParallelStepAllocsConstant pins the lowered program's per-element
 // cost to zero heap allocations: the allocations of four hit-only steps
-// are the same over 64 elements as over 1024.
+// are the same over 64 elements as over 1024, for an update body and for
+// an nsquared-shaped one (a loop of neighbour reads, sqrt and an
+// accumulator update). The nsquared row runs on the heap scheduler: on
+// the timing wheel a step that long in simulated time allocates in the
+// wheel's bucket loads (about four objects a step over 1024 elements,
+// none over 64), a kernel cost per step rather than per element.
 func TestParallelStepAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	allocs := func(n, steps int) float64 {
-		a := analyze(t, fmt.Sprintf(`aggregate A[] { float x; }
-			parallel func bump(parallel a: A) { a.x = a.x + 1; }
-			func main() { let g = A[%d]; for it in 0..%d { bump(g); } }`, n, steps))
-		return testing.AllocsPerRun(3, func() {
-			if _, err := Run(a, runOpts(8, rt.ProtoStache)); err != nil {
-				t.Fatal(err)
+	rows := []struct {
+		name, body string
+		sched      rt.SchedKind
+	}{
+		{"bump", `a.x = a.x + 1;`, ""},
+		{"nsquared", `let acc = 0;
+			for k in 1..5 {
+				let dx = a[#0 + k].x - a.x;
+				let r2 = dx * dx + 0.01;
+				acc = acc + dx / (r2 * sqrt(r2));
 			}
-		})
+			a.f = acc;`, rt.SchedHeap},
 	}
 	// A collection empties the runtime's pools, whose refills would count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	perSteps := func(n int) float64 { return allocs(n, 5) - allocs(n, 1) }
-	if small, large := perSteps(64), perSteps(1024); small != large {
-		t.Fatalf("four steps allocate %v objects over 64 elements but %v over 1024", small, large)
+	for _, row := range rows {
+		opt := runOpts(8, rt.ProtoStache)
+		opt.Machine.Sched = row.sched
+		allocs := func(n, steps int) float64 {
+			a := analyze(t, fmt.Sprintf(`aggregate A[] { float x; float f; }
+				parallel func step(parallel a: A) { %s }
+				func main() { let g = A[%d]; for it in 0..%d { step(g); } }`, row.body, n, steps))
+			return testing.AllocsPerRun(3, func() {
+				if _, err := Run(a, opt); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		perSteps := func(n int) float64 { return allocs(n, 5) - allocs(n, 1) }
+		if small, large := perSteps(64), perSteps(1024); small != large {
+			t.Errorf("%s: four steps allocate %v objects over 64 elements but %v over 1024", row.name, small, large)
+		}
 	}
 }
