@@ -95,6 +95,11 @@ func main() {
 		fmt.Fprintln(os.Stderr, "paperbench:", err)
 		os.Exit(2)
 	}
+	sc, err := harness.ParseScale(*scaleStr)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "paperbench:", err)
+		os.Exit(2)
+	}
 
 	stopProf := prof.Start(*cpuprofile, *memprofile)
 	defer stopProf()
@@ -105,7 +110,7 @@ func main() {
 	ctx, stopSig := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stopSig()
 
-	opts := harness.Options{Scale: harness.ParseScale(*scaleStr), Machine: mc, Predict: *predictFlag}
+	opts := harness.Options{Scale: sc, Machine: mc, Predict: *predictFlag}
 
 	if *predictValidate != "" {
 		if err := runPredictValidate(opts, *predictValidate, *predictWide, *predictBand); err != nil {

@@ -47,6 +47,7 @@ func TestBadFlagsExitTwo(t *testing.T) {
 		"-engine warp":    `unknown engine "warp"`,
 		"-net infiniband": `unknown preset "infiniband"`,
 		"-workers -1":     "negative worker count",
+		"-scale papr":     `unknown scale "papr"`,
 	} {
 		code, _, stderr := run(t, args)
 		if code != 2 || !strings.Contains(stderr, want) || strings.Count(stderr, "\n") != 1 {

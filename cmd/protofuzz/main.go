@@ -72,6 +72,10 @@ func main() {
 	)
 	flag.Parse()
 
+	if *seeds < 1 {
+		fmt.Fprintf(os.Stderr, "protofuzz: -seeds %d: want at least 1\n", *seeds)
+		os.Exit(2)
+	}
 	sc, err := chaos.ParseScale(*scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

@@ -149,7 +149,7 @@ func runMachine(s Spec, cfg rt.Config) (Fingerprint, *rt.Machine) {
 	fp.Kernel = m.Kernel.Stats()
 	fp.Counters = m.Counters()
 	fp.MemHash = m.HashMemory()
-	fp.StateHash = stateHash(m)
+	fp.StateHash = check.StateHash(m)
 	for _, v := range check.Machine(m) {
 		fp.Violations = append(fp.Violations, v.String())
 	}

@@ -31,12 +31,15 @@ const (
 	Paper
 )
 
-// ParseScale maps "paper"/"quick" to a Scale.
-func ParseScale(s string) Scale {
-	if strings.EqualFold(s, "paper") {
-		return Paper
+// ParseScale maps a scale name, "quick" or "paper", to a Scale.
+func ParseScale(s string) (Scale, error) {
+	switch s {
+	case "quick":
+		return Quick, nil
+	case "paper":
+		return Paper, nil
 	}
-	return Quick
+	return Quick, fmt.Errorf("harness: unknown scale %q (want quick or paper)", s)
 }
 
 // Options selects how experiments execute: the workload scale, a

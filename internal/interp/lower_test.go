@@ -450,32 +450,25 @@ func smallWork(p *lang.Program) bool {
 // cost to zero heap allocations: the allocations of four hit-only steps
 // are the same over 64 elements as over 1024, for an update body and for
 // an nsquared-shaped one (a loop of neighbour reads, sqrt and an
-// accumulator update). The nsquared row runs on the heap scheduler: on
-// the timing wheel a step that long in simulated time allocates in the
-// wheel's bucket loads (about four objects a step over 1024 elements,
-// none over 64), a kernel cost per step rather than per element.
+// accumulator update).
 func TestParallelStepAllocsConstant(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	rows := []struct {
-		name, body string
-		sched      rt.SchedKind
-	}{
-		{"bump", `a.x = a.x + 1;`, ""},
+	rows := []struct{ name, body string }{
+		{"bump", `a.x = a.x + 1;`},
 		{"nsquared", `let acc = 0;
 			for k in 1..5 {
 				let dx = a[#0 + k].x - a.x;
 				let r2 = dx * dx + 0.01;
 				acc = acc + dx / (r2 * sqrt(r2));
 			}
-			a.f = acc;`, rt.SchedHeap},
+			a.f = acc;`},
 	}
 	// A collection empties the runtime's pools, whose refills would count.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	for _, row := range rows {
 		opt := runOpts(8, rt.ProtoStache)
-		opt.Machine.Sched = row.sched
 		allocs := func(n, steps int) float64 {
 			a := analyze(t, fmt.Sprintf(`aggregate A[] { float x; float f; }
 				parallel func step(parallel a: A) { %s }

@@ -106,7 +106,7 @@ func benchBarrier1024(b *testing.B) {
 	const procs = 1024
 	b.ReportAllocs()
 	k := sim.NewKernel()
-	k.UseSchedulerSized(sim.SchedWheel, sim.Microsecond, 2*procs)
+	k.UseScheduler(sim.SchedWheel, sim.Microsecond, 2*procs)
 	bar := k.NewBarrier(procs, 10*sim.Microsecond)
 	n := b.N
 	for i := 0; i < procs; i++ {

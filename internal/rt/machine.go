@@ -358,12 +358,12 @@ func (m *Machine) Run(prog Program) error {
 		}
 	}
 	if c.Sched == SchedHeap {
-		m.Kernel.UseScheduler(sim.SchedHeap, 0)
+		m.Kernel.UseScheduler(sim.SchedHeap, 0, 0)
 	} else {
 		// Size the wheel to the machine: two processors per node can keep
 		// roughly that many events in flight, so a 1024-node burst stays
 		// on the O(1) bucket path instead of thrashing the overflow heap.
-		m.Kernel.UseSchedulerSized(sim.SchedWheel, c.Net.MinLatency(), 2*c.Nodes)
+		m.Kernel.UseScheduler(sim.SchedWheel, c.Net.MinLatency(), 2*c.Nodes)
 	}
 	m.Kernel.MaxEvents = c.MaxEvents
 	m.Nodes = make([]*tempest.Node, c.Nodes)

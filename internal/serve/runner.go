@@ -98,7 +98,11 @@ func runExperiment(spec Spec) *Result {
 	if err != nil {
 		return &Result{Err: err.Error()}
 	}
-	o := harness.Options{Scale: harness.ParseScale(spec.Scale), Machine: cfg, Predict: spec.Predict}
+	sc, err := harness.ParseScale(spec.Scale)
+	if err != nil {
+		return &Result{Err: err.Error()}
+	}
+	o := harness.Options{Scale: sc, Machine: cfg, Predict: spec.Predict}
 	csv, hres, err := harness.RunCSV(e, o)
 	if err != nil {
 		return &Result{Err: fmt.Sprintf("serve: experiment %s: %v", spec.Experiment, err)}

@@ -193,12 +193,11 @@ func (s Spec) normalizeExperiment() (Spec, error) {
 		s.BlockSize != 0 || s.Protocol != "" {
 		return s, fmt.Errorf("serve: experiment spec: chaos fields set (experiments pick protocols and block sizes per row)")
 	}
-	switch s.Scale {
-	case "":
+	if s.Scale == "" {
 		s.Scale = "quick"
-	case "quick", "paper":
-	default:
-		return s, fmt.Errorf("serve: experiment spec: unknown scale %q (want quick or paper)", s.Scale)
+	}
+	if _, err := harness.ParseScale(s.Scale); err != nil {
+		return s, fmt.Errorf("serve: experiment spec: %v", err)
 	}
 	if s.Predict && !harness.PredictCapable(s.Experiment) {
 		return s, fmt.Errorf("serve: experiment spec: predict is only supported for the figure and sweep experiments (not %q)", s.Experiment)

@@ -290,6 +290,35 @@ func TestWheelCursorJump(t *testing.T) {
 	}
 }
 
+// TestWheelLongStepsAllocateNothing: a cursor jump to a far bucket keeps
+// the drained storage current, so the timers migrating into it append
+// without allocating — even when every jump lands on a slot the wheel
+// has never used (1001 buckets per step visits all 256 slots in turn).
+func TestWheelLongStepsAllocateNothing(t *testing.T) {
+	w := newWheel(Microsecond, 0)
+	var pool eventPool
+	var at Time
+	var seq uint64
+	step := func() {
+		at += 1001 * Microsecond // beyond the 256-bucket horizon
+		for i := 0; i < 4; i++ {
+			e := pool.get()
+			e.at, e.seq = at, seq
+			seq++
+			w.push(e)
+		}
+		for w.len() > 0 {
+			pool.put(w.pop())
+		}
+	}
+	for i := 0; i < 4; i++ {
+		step()
+	}
+	if a := testing.AllocsPerRun(100, step); a != 0 {
+		t.Fatalf("a long step allocates %v objects, want 0", a)
+	}
+}
+
 // TestWheelPushBatch covers the batch insert on all three paths — current
 // bucket, near wheel, overflow — interleaved with individual pushes at
 // the same timestamp; pops must come out in strict (at, seq) order.

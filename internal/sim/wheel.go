@@ -45,23 +45,21 @@ type scheduler interface {
 }
 
 // UseScheduler replaces the kernel's event scheduler. It must be called
-// before any Proc is spawned or event posted; granularity sets the wheel
-// bucket width (ignored by SchedHeap; <= 0 selects
-// DefaultWheelGranularity).
-func (k *Kernel) UseScheduler(kind SchedulerKind, granularity Time) {
-	k.UseSchedulerSized(kind, granularity, 0)
-}
-
-// UseSchedulerSized is UseScheduler with an explicit wheel capacity hint:
-// the near-wheel bucket count is the hint rounded up to a power of two
-// (minimum wheelBuckets; <= 0 keeps the default). A machine with many
-// processors in flight wants a wheel at least as wide as its concurrent
-// event population so pushes stay O(1) appends instead of spilling to the
-// overflow heap; bucket count never affects dispatch order, only the
-// constant factors.
-func (k *Kernel) UseSchedulerSized(kind SchedulerKind, granularity Time, buckets int) {
+// before any Proc is spawned or event posted. granularity sets the wheel
+// bucket width (<= 0 selects DefaultWheelGranularity), and buckets is a
+// wheel capacity hint: the near-wheel bucket count is the hint rounded up
+// to a power of two (minimum wheelBuckets; <= 0 keeps the default). Both
+// are ignored by SchedHeap. A machine with many processors in flight
+// wants a wheel at least as wide as its concurrent event population so
+// pushes stay O(1) appends instead of spilling to the overflow heap;
+// bucket count never affects dispatch order, only the constant factors.
+// A schedule installed by Choose is kept.
+func (k *Kernel) UseScheduler(kind SchedulerKind, granularity Time, buckets int) {
 	if k.started || k.seq != 0 || k.sched.len() != 0 {
 		panic("sim: UseScheduler after events were scheduled")
+	}
+	if _, chosen := k.sched.(*choiceSched); chosen {
+		return
 	}
 	switch kind {
 	case SchedHeap:
@@ -102,7 +100,7 @@ func (s *heapSched) peek() *event {
 // ahead an event may land and still get an O(1) bucket append; anything
 // farther waits in the overflow heap and migrates into its bucket as the
 // cursor sweeps forward. Large machines pass a bigger hint through
-// UseSchedulerSized (rt scales it with the node count) so a 1024-lane
+// UseScheduler (rt scales it with the node count) so a 1024-lane
 // burst doesn't thrash the overflow heap.
 const wheelBuckets = 256
 
@@ -285,18 +283,23 @@ func (w *wheelSched) popBefore(t Time) *event {
 }
 
 // loadBucket makes bucket curIdx current: it swaps the slot's slice in
-// (recycling the drained one's storage), migrates due overflow timers,
-// and sorts the result by (at, seq). Insertion sort keeps the sweep O(1)
-// per event for the dominant cases — a same-timestamp burst arrives
-// already sorted because sequence numbers are assigned in push order.
+// when it holds events (recycling the drained one's storage), migrates
+// due overflow timers, and sorts the result by (at, seq). An empty slot
+// is not swapped in: the drained storage stays current, so timers
+// migrating after a cursor jump append without growing a fresh slice.
+// Insertion sort keeps the sweep O(1) per event for the dominant cases —
+// a same-timestamp burst arrives already sorted because sequence numbers
+// are assigned in push order.
 func (w *wheelSched) loadBucket() {
 	slot := w.curIdx & w.mask
 	w.cur = w.cur[:0]
-	w.cur, w.buckets[slot] = w.buckets[slot], w.cur
-	// Keep the largest idle storage where the next batch push can find
-	// it; the slot just holds the smaller one (it is empty either way).
-	if cap(w.buckets[slot]) > cap(w.spare) {
-		w.spare, w.buckets[slot] = w.buckets[slot], w.spare
+	if len(w.buckets[slot]) > 0 {
+		w.cur, w.buckets[slot] = w.buckets[slot], w.cur
+		// Keep the largest idle storage where the next batch push can
+		// find it; the slot just holds the smaller one (empty either way).
+		if cap(w.buckets[slot]) > cap(w.spare) {
+			w.spare, w.buckets[slot] = w.buckets[slot], w.spare
+		}
 	}
 	w.curPos = 0
 	for len(w.overflow) > 0 && int64(w.overflow.peek().at)/int64(w.g) <= w.curIdx {

@@ -650,6 +650,12 @@ func (n *Node) PendingUse(b memory.Block) bool {
 	return n.pendingUse.Has(b)
 }
 
+// UseMarks reports b's first-use marks: a grant's pending use, a protocol
+// action deferred behind it, and a pre-sent copy's freshness.
+func (n *Node) UseMarks(b memory.Block) (use, deferred, fresh bool) {
+	return n.pendingUse.Has(b), n.pendingDeferred.Has(b), n.presendFresh.Has(b)
+}
+
 // DeferPostUse marks that the protocol owes a post-use action for b. It
 // reports false when no use is pending (the caller must act now).
 func (n *Node) DeferPostUse(b memory.Block) bool {
