@@ -210,6 +210,10 @@ type (
 	chunk [chunkPages]*page
 )
 
+// PageBlocks is the number of consecutive blocks one line-table page
+// covers: page p of a region holds blocks [p·PageBlocks, (p+1)·PageBlocks).
+const PageBlocks = pageSize
+
 // Store is one node's view of the shared address space: a radix line
 // table per region. Home-owned lines materialize lazily with a ReadWrite
 // tag and zeroed data (their initial state); other nodes' lines
@@ -361,6 +365,14 @@ func (s *Store) Peek(b Block) (Tag, []byte) {
 		return ReadWrite, s.as.zero
 	}
 	return Invalid, nil
+}
+
+// HoldsPage reports whether the node holds a line for any block of page p
+// of region rid (see PageBlocks). Lines are never dropped, so false means
+// the node has never touched one of them.
+func (s *Store) HoldsPage(rid int, p int64) bool {
+	ch := s.lines[rid][p>>(chunkBits-pageBits)]
+	return ch != nil && ch[p&(chunkPages-1)] != nil
 }
 
 // Ensure returns the node's line for block b, materializing an Invalid

@@ -1,10 +1,12 @@
 // Package metrics is the simulator's metrics registry: typed counters,
 // virtual-time timers and power-of-two histograms that protocol and
-// runtime code update on hot paths without allocating. Instruments are
-// registered once (at machine construction) and updated through cached
-// pointers; a Snapshot renders every instrument in deterministic (sorted)
-// order, so two runs of the same configuration produce byte-identical
-// exports — metrics double as a correctness oracle in tests.
+// runtime code update on hot paths without allocating. A Registry names
+// instruments at registration and hands out pointers to cache; an owner
+// with a fixed instrument set (tempest.Metrics, one per node) holds the
+// instruments inline instead and renders names only when a Snapshot is
+// asked for. Either way a Snapshot lists every instrument in sorted order,
+// so two runs of the same configuration produce byte-identical exports —
+// metrics double as a correctness oracle in tests.
 //
 // The simulation kernel serializes all Proc goroutines (handing control
 // through channels, which establishes happens-before edges), so the
@@ -251,27 +253,40 @@ func (r *Registry) Snapshot() *Snapshot {
 	for name, c := range r.counters {
 		s.Counters = append(s.Counters, CounterValue{Name: name, Value: c.v})
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
 	for name, t := range r.timers {
 		s.Timers = append(s.Timers, TimerValue{Name: name, TotalNS: int64(t.total), Count: t.n})
 	}
-	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
 	for name, h := range r.hists {
-		hv := HistogramValue{Name: name, Count: h.n, Sum: h.sum, Max: h.max}
-		lo, hi := h.nonEmpty()
-		for i := lo; i < hi; i++ {
-			var le int64
-			if i >= 63 {
-				le = int64(^uint64(0) >> 1) // MaxInt64
-			} else {
-				le = int64(1)<<uint(i) - 1
-			}
-			hv.Buckets = append(hv.Buckets, HistogramBucket{Le: le, Count: h.buckets[i]})
-		}
-		s.Histograms = append(s.Histograms, hv)
+		s.Histograms = append(s.Histograms, h.Value(name))
 	}
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	s.Sort()
 	return s
+}
+
+// Value renders the histogram as a snapshot entry named name, its buckets
+// trimmed to the dense non-empty range.
+func (h *Histogram) Value(name string) HistogramValue {
+	hv := HistogramValue{Name: name, Count: h.n, Sum: h.sum, Max: h.max}
+	lo, hi := h.nonEmpty()
+	for i := lo; i < hi; i++ {
+		var le int64
+		if i >= 63 {
+			le = int64(^uint64(0) >> 1) // MaxInt64
+		} else {
+			le = int64(1)<<uint(i) - 1
+		}
+		hv.Buckets = append(hv.Buckets, HistogramBucket{Le: le, Count: h.buckets[i]})
+	}
+	return hv
+}
+
+// Sort orders each instrument list by name, the order a registry renders
+// in. Code that builds a Snapshot from instruments it holds itself (the
+// runtime's per-node sets) sorts it once when done.
+func (s *Snapshot) Sort() {
+	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
+	sort.Slice(s.Timers, func(i, j int) bool { return s.Timers[i].Name < s.Timers[j].Name })
+	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
 }
 
 // WriteJSON renders the snapshot as indented JSON.

@@ -280,10 +280,6 @@ type Machine struct {
 	Proto  tempest.Protocol
 	Nodes  []*tempest.Node
 
-	// Reg is the machine's metrics registry; every node's instruments
-	// register here under an "nNN/" prefix.
-	Reg *metrics.Registry
-
 	barrier *sim.Barrier
 	// paddedStride maps block-padded array regions to their element
 	// stride (see PaddedStride).
@@ -306,7 +302,6 @@ func New(cfg Config) *Machine {
 		Cfg:        c,
 		Kernel:     sim.NewKernel(),
 		AS:         memory.NewAddressSpace(c.Nodes, c.BlockSize),
-		Reg:        metrics.New(),
 		phaseNames: make(map[int]string),
 	}
 	switch c.Protocol {
@@ -373,7 +368,6 @@ func (m *Machine) Run(prog Program) error {
 			n.Dir = tempest.NewDirectoryRef(m.AS)
 		}
 		n.Trace = c.Sink
-		n.UseMetrics(m.Reg)
 		if c.Record {
 			n.Rec = tempest.NewCommRecord()
 		}
@@ -705,8 +699,19 @@ func (m *Machine) Report() MetricsReport {
 		Counters:  m.Counters(),
 		Phases:    m.PhaseBreakdown(),
 		Kernel:    m.Kernel.Stats(),
-		Registry:  m.Reg.Snapshot(),
+		Registry:  m.registry(),
 	}
+}
+
+// registry renders every node's instruments, each under its "nNN/"
+// prefix, in name order.
+func (m *Machine) registry() *metrics.Snapshot {
+	s := &metrics.Snapshot{}
+	for _, n := range m.Nodes {
+		n.Met.AppendTo(s, n.ID)
+	}
+	s.Sort()
+	return s
 }
 
 // SnapshotBlock returns the authoritative contents of the block
@@ -738,23 +743,84 @@ func (m *Machine) SnapshotF64(a memory.Addr) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(data[off:]))
 }
 
+// FNV-1a parameters of HashMemory.
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+	fnvPrime8 = 0x1efac7090aef4a21 // fnvPrime^8 mod 2^64: the fold of a zero word
+)
+
 // HashMemory folds the authoritative contents of every allocated region
 // into one 64-bit FNV-1a hash. For a deterministic program whose writes do
 // not depend on racy read values, the hash is protocol-independent — the
 // chaos subsystem's differential oracle compares it across coherence
 // protocols ("same program, same final memory").
+//
+// The hash is exactly the byte-wise fold, computed without visiting what
+// is known to be zero. A zero byte folds as h·p (the XOR changes nothing),
+// so k zero bytes fold as one multiply by p^k. A line-table page that no
+// node's Store holds is all zero: with no line anywhere there is no
+// exclusive owner, and its home reads the shared zero block. Such a page
+// folds as one multiply; a held page folds block by block, each zero word
+// as one multiply. Nothing is materialized or allocated.
 func (m *Machine) HashMemory() uint64 {
-	const (
-		fnvOffset = 14695981039346656037
-		fnvPrime  = 1099511628211
-	)
 	h := uint64(fnvOffset)
 	bs := int64(m.Cfg.BlockSize)
+	pagePow := fnvPow(memory.PageBlocks * bs)
 	for _, r := range m.AS.Regions() {
-		for idx := int64(0); idx < r.NumBlocks(); idx++ {
-			for _, c := range m.SnapshotBlock(r.Addr(idx * bs)) {
-				h = (h ^ uint64(c)) * fnvPrime
+		nb := r.NumBlocks()
+		for first := int64(0); first < nb; first += memory.PageBlocks {
+			n := min(memory.PageBlocks, nb-first)
+			if !m.pageHeld(r.ID, first/memory.PageBlocks) {
+				if n == memory.PageBlocks {
+					h *= pagePow
+				} else {
+					h *= fnvPow(n * bs)
+				}
+				continue
 			}
+			for idx := first; idx < first+n; idx++ {
+				h = fnvFold(h, m.SnapshotBlock(r.BlockAt(idx)))
+			}
+		}
+	}
+	return h
+}
+
+// pageHeld reports whether any node holds a line of page p of region rid.
+func (m *Machine) pageHeld(rid int, p int64) bool {
+	for _, n := range m.Nodes {
+		if n.Store.HoldsPage(rid, p) {
+			return true
+		}
+	}
+	return false
+}
+
+// fnvPow returns fnvPrime^k mod 2^64: the fold of k zero bytes.
+func fnvPow(k int64) uint64 {
+	r, b := uint64(1), uint64(fnvPrime)
+	for ; k > 0; k >>= 1 {
+		if k&1 != 0 {
+			r *= b
+		}
+		b *= b
+	}
+	return r
+}
+
+// fnvFold folds data (a whole number of 8-byte words) into h byte by
+// byte, each zero word as one multiply.
+func fnvFold(h uint64, data []byte) uint64 {
+	for i := 0; i+8 <= len(data); i += 8 {
+		w := binary.LittleEndian.Uint64(data[i:])
+		if w == 0 {
+			h *= fnvPrime8
+			continue
+		}
+		for j := 0; j < 8; j++ {
+			h = (h ^ w&0xff) * fnvPrime
+			w >>= 8
 		}
 	}
 	return h

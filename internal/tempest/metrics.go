@@ -91,64 +91,65 @@ func KindOf(m Msg) MsgKind {
 // numDirStates sizes the directory-transition counter matrix.
 const numDirStates = 4
 
-// Metrics is one node's instrument set, registered against the machine's
-// shared registry under an "nNN/" prefix. All pointers are cached at
-// construction so hot-path updates are lookup- and allocation-free.
+// Metrics is one node's instrument set, held inline: building it is one
+// allocation, and hot-path updates touch the node's own fields. Names are
+// rendered only when a report asks for them (AppendTo).
 type Metrics struct {
 	// Sent and Recv count protocol messages by kind (Sent at the posting
 	// node, Recv at the dispatching protocol processor).
-	Sent [NumMsgKinds]*metrics.Counter
-	Recv [NumMsgKinds]*metrics.Counter
+	Sent [NumMsgKinds]metrics.Counter
+	Recv [NumMsgKinds]metrics.Counter
 
 	// Dir counts directory state transitions [from][to] at this home.
-	Dir [numDirStates][numDirStates]*metrics.Counter
+	Dir [numDirStates][numDirStates]metrics.Counter
 
 	// FaultLatency is the fault-to-grant latency distribution (virtual
 	// nanoseconds from fault detection to resumed access).
-	FaultLatency *metrics.Histogram
+	FaultLatency metrics.Histogram
 	// MsgPayload is the sent-message payload-size distribution (bytes,
 	// excluding the fixed header).
-	MsgPayload *metrics.Histogram
+	MsgPayload metrics.Histogram
 
 	// PresendsIn counts pre-sent blocks installed at this node;
 	// PresendHits counts those consumed by an access before any fault
 	// (a fault averted); PresendsStale counts pre-sent blocks that
 	// faulted anyway (invalidated or recalled before use).
-	PresendsIn    *metrics.Counter
-	PresendHits   *metrics.Counter
-	PresendsStale *metrics.Counter
+	PresendsIn    metrics.Counter
+	PresendHits   metrics.Counter
+	PresendsStale metrics.Counter
 	// PresendsRaced counts pre-sent blocks that arrived while the compute
 	// processor was already fault-waiting on them (too late to avert the
 	// fault). At quiescence PresendsIn == PresendHits + PresendsStale +
 	// PresendsRaced + the node's still-fresh count, exactly
 	// (check.Accounting).
-	PresendsRaced *metrics.Counter
+	PresendsRaced metrics.Counter
 
 	// Phases attributes faults, wait time and pre-send consumption to
 	// compiler-identified parallel phases (per node).
 	Phases metrics.PhaseSet
 }
 
-// NewMetrics registers one node's instruments with reg.
-func NewMetrics(reg *metrics.Registry, node int) *Metrics {
+// AppendTo renders node's instruments into s under an "nNN/" prefix,
+// unsorted (Snapshot.Sort orders a machine's nodes together).
+func (m *Metrics) AppendTo(s *metrics.Snapshot, node int) {
 	p := fmt.Sprintf("n%02d/", node)
-	m := &Metrics{
-		FaultLatency:  reg.Histogram(p + "fault_latency_ns"),
-		MsgPayload:    reg.Histogram(p + "msg_payload_bytes"),
-		PresendsIn:    reg.Counter(p + "presends_in"),
-		PresendHits:   reg.Counter(p + "presend_hits"),
-		PresendsStale: reg.Counter(p + "presends_stale"),
-		PresendsRaced: reg.Counter(p + "presends_raced"),
+	s.Histograms = append(s.Histograms,
+		m.FaultLatency.Value(p+"fault_latency_ns"),
+		m.MsgPayload.Value(p+"msg_payload_bytes"))
+	count := func(name string, c *metrics.Counter) {
+		s.Counters = append(s.Counters, metrics.CounterValue{Name: name, Value: c.Value()})
 	}
+	count(p+"presends_in", &m.PresendsIn)
+	count(p+"presend_hits", &m.PresendHits)
+	count(p+"presends_stale", &m.PresendsStale)
+	count(p+"presends_raced", &m.PresendsRaced)
 	for k := MsgKind(0); k < NumMsgKinds; k++ {
-		m.Sent[k] = reg.Counter(p + "sent/" + k.String())
-		m.Recv[k] = reg.Counter(p + "recv/" + k.String())
+		count(p+"sent/"+k.String(), &m.Sent[k])
+		count(p+"recv/"+k.String(), &m.Recv[k])
 	}
-	for from := 0; from < numDirStates; from++ {
-		for to := 0; to < numDirStates; to++ {
-			m.Dir[from][to] = reg.Counter(fmt.Sprintf("%sdir/%v_to_%v",
-				p, DirState(from), DirState(to)))
+	for from := DirState(0); from < numDirStates; from++ {
+		for to := DirState(0); to < numDirStates; to++ {
+			count(p+"dir/"+from.String()+"_to_"+to.String(), &m.Dir[from][to])
 		}
 	}
-	return m
 }

@@ -191,15 +191,9 @@ func NewNode(id int, as *memory.AddressSpace, net *network.Params, proto Protoco
 		pendingUse:      blockstate.NewBitTable(as),
 		pendingDeferred: blockstate.NewBitTable(as),
 		presendFresh:    blockstate.NewBitTable(as),
+		Met:             new(Metrics),
 	}
-	n.Met = NewMetrics(metrics.New(), id) // standalone registry; rt rebinds
 	return n
-}
-
-// UseMetrics rebinds the node's instruments to a shared registry (called
-// by the runtime so one registry covers the whole machine).
-func (n *Node) UseMetrics(reg *metrics.Registry) {
-	n.Met = NewMetrics(reg, n.ID)
 }
 
 // BeginPhaseMetrics establishes phase id (0-based iteration iter) as the

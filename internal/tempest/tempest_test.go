@@ -8,6 +8,7 @@ import (
 	"testing/quick"
 
 	"presto/internal/memory"
+	"presto/internal/metrics"
 	"presto/internal/network"
 	"presto/internal/sim"
 )
@@ -441,5 +442,47 @@ func TestStatsTotal(t *testing.T) {
 	s := Stats{Compute: 1, RemoteWait: 2, Presend: 3, Sync: 4}
 	if s.Total() != 10 {
 		t.Fatalf("total = %v", s.Total())
+	}
+}
+
+// TestNodeMetricsAllocsConstant: a node's instruments are built in one
+// allocation with no name work, so building a node costs the same few
+// allocations whatever its ID. A standalone node's counters still count,
+// and its names render on demand.
+func TestNodeMetricsAllocsConstant(t *testing.T) {
+	as := memory.NewAddressSpace(256, 32)
+	as.NewRegion("r", 1024, func(b int64) int { return int(b % 256) })
+	proto := &nullProto{}
+	var allocs [2]float64
+	for i, id := range []int{3, 123} {
+		allocs[i] = testing.AllocsPerRun(20, func() { NewNode(id, as, network.CM5(), proto) })
+	}
+	if allocs[0] != allocs[1] || allocs[0] > 11 {
+		t.Errorf("NewNode allocates %v objects for nodes 3 and 123, want the same, at most 11", allocs)
+	}
+
+	k, nodes, _ := twoNodes(t)
+	nodes[0].Compute = k.Spawn("c0", func(p *sim.Proc) {
+		nodes[0].Post(p, nodes[1], MsgInval{Block: 0})
+	})
+	if err := k.Run(); err != nil {
+		t.Fatal(err)
+	}
+	var s metrics.Snapshot
+	nodes[1].Met.AppendTo(&s, 1)
+	nodes[0].Met.AppendTo(&s, 0)
+	s.Sort()
+	if got := s.Counter("n00/sent/Inval"); got != 1 {
+		t.Errorf("n00/sent/Inval = %d, want 1", got)
+	}
+	if got := s.Counter("n01/recv/Inval"); got != 1 {
+		t.Errorf("n01/recv/Inval = %d, want 1", got)
+	}
+	if len(s.Counters) != 2*60 || s.Counters[0].Name != "n00/dir/AwaitAcks_to_AwaitAcks" || len(s.Histograms) != 4 {
+		t.Errorf("snapshot has %d counters starting %q and %d histograms, want 120 from n00/dir/AwaitAcks_to_AwaitAcks and 4",
+			len(s.Counters), s.Counters[0].Name, len(s.Histograms))
+	}
+	if h := s.Histograms[1]; h.Name != "n00/msg_payload_bytes" || h.Count != 1 || h.Sum != 8 {
+		t.Errorf("histogram %+v, want n00/msg_payload_bytes with one 8-byte sample", h)
 	}
 }
