@@ -1,4 +1,7 @@
-package serve
+// Package pool is a bounded worker pool: dsmserve's job queue runs on
+// it, and Each fans independent indexed work out over GOMAXPROCS
+// workers.
+package pool
 
 import "sync"
 

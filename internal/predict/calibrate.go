@@ -7,6 +7,7 @@ import (
 
 	"presto/internal/causal"
 	"presto/internal/memory"
+	"presto/internal/pool"
 	"presto/internal/rt"
 	"presto/internal/tempest"
 )
@@ -223,7 +224,8 @@ const offMask40 = uint64(1)<<40 - 1
 // and false-sharing amplification (interleaved writers bounce the coarse
 // block and re-fault accesses that hit at the calibration size).
 // Pre-send counts coarsen by per-node MAX — one pre-send covers the
-// coarse block.
+// coarse block. The shifts replay concurrently and exactly: each has its
+// own automaton, clocks and merge heap, and the tables fill in k order.
 func (c *Calibration) buildShifts(m *rt.Machine) error {
 	n0 := c.Nodes
 	shift0 := uint(bits.TrailingZeros(uint(c.BlockSize)))
@@ -286,36 +288,26 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 	qInt := make([][]int64, MaxShift+1)
 	imbF := make([][]float64, MaxShift+1)
 	var rInt, wInt, pInt [MaxShift + 1]int64
-	for k := 0; k <= MaxShift; k++ {
-		fInt[k] = make([]int64, np*n0)
-		hInt[k] = make([]int64, np*n0*n0)
-		qInt[k] = make([]int64, np*n0)
-		imbF[k] = make([]float64, np)
-	}
 
-	clocks := make([]int64, n0)
-	// Per merge slot: next access, next escaped gap, compressed offset.
-	idx := make([]int, n0)
-	esc := make([]int, n0)
-	off := make([]int64, n0)
-	stallAdj := make([]int64, n0)
-	merge := mergeHeap{at: make([]int64, n0)}
-	spanAcc := make([]int64, np)          // per phase: sum of segment spans
-	busyAcc := make([]int64, np*n0)       // per (phase,node): total busy
-	coarse := make([]uint32, len(blocks)) // [nodeOff[n]+u] -> coarse index
-	chome := make([]int32, 0, len(blocks))
-	cmap := map[uint64]uint32{}
-	var written []uint32
-	for k := 0; k <= MaxShift; k++ {
+	// replay runs shift k's automaton over the whole trace. It reads the
+	// record and the machine's layout only, keeps its own scratch, and
+	// writes only shift k's outputs, so the shifts run side by side.
+	replay := func(k int) {
 		sh := shift0 + uint(k)
 		b1 := c.BlockSize << k
+		faults := make([]int64, np*n0)
+		homes := make([]int64, np*n0*n0)
+		stallq := make([]int64, np*n0)
+		imb := make([]float64, np)
+		var reads, writes int64
 		// Map each calibration block onto its coarse group for this
 		// shift and resolve the group's home once — the home of the
 		// coarse block's first constituent in the calibration address
 		// space (the home function is the application's; this is the
 		// closest stand-in for the target geometry's assignment).
-		clear(cmap)
-		chome = chome[:0]
+		coarse := make([]uint32, len(blocks)) // [nodeOff[n]+u] -> coarse index
+		var chome []int32
+		cmap := map[uint64]uint32{}
 		for u, b := range blocks {
 			blk := uint64(b)
 			// Block-padded regions re-pad per element at every block
@@ -345,15 +337,16 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 				state[ci] = blkState{owner: chome[ci]}
 			}
 		}
-		for i := range clocks {
-			clocks[i] = 0
-		}
-		for i := range spanAcc {
-			spanAcc[i] = 0
-		}
-		for i := range busyAcc {
-			busyAcc[i] = 0
-		}
+		clocks := make([]int64, n0)
+		// Per merge slot: next access, next escaped gap, compressed offset.
+		idx := make([]int, n0)
+		esc := make([]int, n0)
+		off := make([]int64, n0)
+		stallAdj := make([]int64, n0)
+		merge := mergeHeap{at: make([]int64, n0)}
+		spanAcc := make([]int64, np)    // per phase: sum of segment spans
+		busyAcc := make([]int64, np*n0) // per (phase,node): total busy
+		var written []uint32
 		var prevStart int64
 		for _, gs := range ordered {
 			// Barrier: the segment starts when its slowest participant
@@ -439,13 +432,13 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 					stallAdj[best] += lam
 					st.graceUntil = bt + lam
 					row := int(gs.pi)*n0 + int(ns.node)
-					fInt[k][row]++
-					hInt[k][row*n0+int(home)]++
-					qInt[k][row] += lam
+					faults[row]++
+					homes[row*n0+int(home)]++
+					stallq[row] += lam
 					if write {
-						wInt[k]++
+						writes++
 					} else {
-						rInt[k]++
+						reads++
 					}
 				}
 				if i := idx[best]; i < len(accs) {
@@ -494,10 +487,13 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 				}
 			}
 			if sl := spanAcc[pi] - maxBusy; sl > 0 {
-				imbF[k][pi] = float64(sl)
+				imb[pi] = float64(sl)
 			}
 		}
+		fInt[k], hInt[k], qInt[k], imbF[k] = faults, homes, stallq, imb
+		rInt[k], wInt[k] = reads, writes
 	}
+	pool.Each(MaxShift+1, replay)
 
 	c.coarsenPresends(m, phaseIdx, shift0, n0, &pInt)
 

@@ -13,7 +13,7 @@ import (
 //	GET  /healthz         liveness
 //	GET  /metricsz        pool + cache instruments (MetricsDoc)
 //
-// Batch responses stream one result line per job, in submission order,
+// Batch responses stream one result line per job, in request order,
 // flushed as each job completes: clients see results incrementally, yet
 // the body is a deterministic function of the request — replaying a
 // batch yields byte-identical bytes, served from cache.
@@ -55,11 +55,21 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 
 	// Submit everything up front so the pool can run jobs concurrently
-	// and identical specs coalesce, then stream results in submission
+	// and identical specs coalesce, then stream results in request
 	// order — the order is part of the deterministic response contract.
+	// Experiment jobs are dispatched first: one is far longer than a
+	// chaos seed, and Expand puts the seeds first, so dispatched last it
+	// would run alone while the other workers idle.
 	tickets := make([]*Ticket, len(specs))
 	for i, spec := range specs {
-		tickets[i] = s.svc.Do(spec)
+		if spec.Kind == KindExperiment {
+			tickets[i] = s.svc.Do(spec)
+		}
+	}
+	for i, spec := range specs {
+		if tickets[i] == nil {
+			tickets[i] = s.svc.Do(spec)
+		}
 	}
 
 	w.Header().Set("Content-Type", "application/x-ndjson")

@@ -8,7 +8,9 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"slices"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -63,6 +65,43 @@ func TestBatchSecondRunFullyDeduped(t *testing.T) {
 	}
 	if c := counter(svc, "serve/cache_misses"); c != n {
 		t.Fatalf("misses = %d, want %d", c, n)
+	}
+}
+
+// TestBatchDispatchesExperimentsFirst: a batch's experiment job starts
+// before its chaos seeds, though Expand puts the seeds first, and the
+// response still streams in request order.
+func TestBatchDispatchesExperimentsFirst(t *testing.T) {
+	var mu sync.Mutex
+	var started []string
+	_, cl := newTestServer(t, Config{
+		Workers: 1,
+		Runner: func(ctx context.Context, spec Spec) *Result {
+			mu.Lock()
+			started = append(started, spec.Kind)
+			mu.Unlock()
+			return &Result{ElapsedNS: spec.Seed}
+		},
+	})
+	req := BatchRequest{
+		SeedRange: &SeedRange{Start: 1, Count: 3},
+		Specs:     []Spec{{Kind: KindExperiment, Experiment: "figure7"}},
+	}
+	var got []string
+	if err := cl.Batch(context.Background(), req, func(r *Result) error {
+		got = append(got, r.Spec.Kind)
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{KindChaos, KindChaos, KindChaos, KindExperiment}
+	if !slices.Equal(got, want) {
+		t.Fatalf("response lines %v, want request order %v", got, want)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{KindExperiment, KindChaos, KindChaos, KindChaos}; !slices.Equal(started, want) {
+		t.Fatalf("one worker started %v, want the experiment first: %v", started, want)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"presto/internal/metrics"
+	"presto/internal/pool"
 )
 
 // Runner executes one normalized spec. The production runner is Run
@@ -17,7 +18,9 @@ type Runner func(ctx context.Context, spec Spec) *Result
 // Config shapes a Service.
 type Config struct {
 	// Workers is the pool size (default 1). With one worker the whole
-	// service is fully deterministic: jobs run in submission order.
+	// service is fully deterministic: jobs run in dispatch order, which
+	// within a batch is its experiment jobs first, then the rest, each
+	// group in request order.
 	Workers int
 	// CacheBytes budgets the result cache (default 256 MiB; <0 unbounded).
 	CacheBytes int64
@@ -33,13 +36,14 @@ type Config struct {
 }
 
 // Service is the batch scheduler: a content-addressed single-flight
-// result cache in front of a deterministic worker pool. Concurrent
-// submissions of the same spec coalesce into one simulation; completed
-// results are cached by spec hash; every counter lives in the metrics
-// registry surfaced at /metricsz.
+// result cache in front of a deterministic worker pool, which starts
+// jobs in the order Do dispatches them. Concurrent submissions of the
+// same spec coalesce into one simulation; completed results are cached
+// by spec hash; every counter lives in the metrics registry surfaced at
+// /metricsz.
 type Service struct {
 	cfg    Config
-	pool   *Pool
+	pool   *pool.Pool
 	runner Runner
 	base   context.Context
 	stop   context.CancelFunc
@@ -92,7 +96,7 @@ func NewService(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:      cfg,
-		pool:     NewPool(cfg.Workers),
+		pool:     pool.NewPool(cfg.Workers),
 		runner:   cfg.Runner,
 		cache:    NewCache(cfg.CacheBytes),
 		inflight: make(map[string]*flight),
