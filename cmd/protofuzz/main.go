@@ -19,14 +19,19 @@
 //
 //	protofuzz -repro -seed 17 -max-nodes 4 -max-phases 3
 //
-// Verify the oracle catches an injected protocol defect:
-//
-//	protofuzz -seeds 100 -mutate stache-skip-deferral -expect-fail
+// -seed N runs exactly seed N, 0 included; a negative -seed or -start is
+// a usage error.
 //
 // -aggregate runs every combination with node-leader message
 // aggregation enabled (a timing-visible no-op on seeds that derive flat
-// interconnects); aggregation-layer mutations such as agg-drop-entry
-// imply it. Shrunk reproducers of aggregated failures carry the flag.
+// interconnects). Shrunk reproducers of aggregated failures carry the
+// flag.
+//
+// That the oracle catches broken protocols is shown by the mutant
+// catalogue, which compiles each defect into a copy of the source
+// through go -overlay and runs this command against it:
+//
+//	go run ./cmd/mutate
 //
 // SIGINT interrupts a campaign gracefully: the seeds already run are
 // reported, failing-seed artifacts (-out) are flushed, and the process
@@ -50,30 +55,38 @@ import (
 
 func main() {
 	var (
-		seeds      = flag.Int("seeds", 50, "number of consecutive seeds to run")
-		start      = flag.Int64("start", 1, "first seed")
-		scale      = flag.String("scale", "quick", "derivation envelope: quick|long")
-		seed       = flag.Int64("seed", -1, "run this single seed (overrides -seeds/-start)")
-		repro      = flag.Bool("repro", false, "single-seed reproduction mode: print the full differential result (requires -seed)")
-		maxNodes   = flag.Int("max-nodes", 0, "cap derived node count (0 = scale default)")
-		maxPhases  = flag.Int("max-phases", 0, "cap derived phase count")
-		maxIters   = flag.Int("max-iters", 0, "cap derived iteration count")
-		maxBlocks  = flag.Int("max-blocks", 0, "cap derived shared element pool")
-		mutate     = flag.String("mutate", "", "inject a named protocol defect (e.g. stache-skip-deferral)")
-		aggFlag    = flag.Bool("aggregate", false, "enable node-leader message aggregation on every combination")
-		jitter     = flag.Int("jitter", 0, "interconnect jitter pct: 0 = derive per seed, >0 force, <0 off")
-		maxEvents  = flag.Int64("max-events", 0, "per-run simulation event budget (0 = default)")
-		maxFail    = flag.Int("max-failures", 1, "stop after this many failing seeds")
-		noShrink   = flag.Bool("no-shrink", false, "skip minimizing failing seeds")
-		expectFail = flag.Bool("expect-fail", false, "invert the exit status: succeed only if a failure was found (mutation testing)")
-		out        = flag.String("out", "", "directory to write failing-seed reproducer JSON files")
-		server     = flag.String("server", "", "submit the seed band to this dsmserve base URL instead of simulating locally")
-		quiet      = flag.Bool("q", false, "suppress per-seed progress")
+		seeds     = flag.Int("seeds", 50, "number of consecutive seeds to run")
+		start     = flag.Int64("start", 1, "first seed")
+		scale     = flag.String("scale", "quick", "derivation envelope: quick|long")
+		seed      = flag.Int64("seed", 0, "run this single seed (overrides -seeds/-start)")
+		repro     = flag.Bool("repro", false, "single-seed reproduction mode: print the full differential result (requires -seed)")
+		maxNodes  = flag.Int("max-nodes", 0, "cap derived node count (0 = scale default)")
+		maxPhases = flag.Int("max-phases", 0, "cap derived phase count")
+		maxIters  = flag.Int("max-iters", 0, "cap derived iteration count")
+		maxBlocks = flag.Int("max-blocks", 0, "cap derived shared element pool")
+		aggFlag   = flag.Bool("aggregate", false, "enable node-leader message aggregation on every combination")
+		jitter    = flag.Int("jitter", 0, "interconnect jitter pct: 0 = derive per seed, >0 force, <0 off")
+		maxEvents = flag.Int64("max-events", 0, "per-run simulation event budget (0 = default)")
+		maxFail   = flag.Int("max-failures", 1, "stop after this many failing seeds")
+		noShrink  = flag.Bool("no-shrink", false, "skip minimizing failing seeds")
+		out       = flag.String("out", "", "directory to write failing-seed reproducer JSON files")
+		server    = flag.String("server", "", "submit the seed band to this dsmserve base URL instead of simulating locally")
+		quiet     = flag.Bool("q", false, "suppress per-seed progress")
 	)
 	flag.Parse()
+	seedSet := false
+	flag.Visit(func(f *flag.Flag) { seedSet = seedSet || f.Name == "seed" })
 
 	if *seeds < 1 {
 		fmt.Fprintf(os.Stderr, "protofuzz: -seeds %d: want at least 1\n", *seeds)
+		os.Exit(2)
+	}
+	if *start < 0 {
+		fmt.Fprintf(os.Stderr, "protofuzz: -start %d: want at least 0\n", *start)
+		os.Exit(2)
+	}
+	if *seed < 0 {
+		fmt.Fprintf(os.Stderr, "protofuzz: -seed %d: want at least 0\n", *seed)
 		os.Exit(2)
 	}
 	sc, err := chaos.ParseScale(*scale)
@@ -91,7 +104,6 @@ func main() {
 		Start:       *start,
 		Scale:       sc,
 		Caps:        chaos.Caps{Nodes: *maxNodes, Phases: *maxPhases, Iters: *maxIters, Blocks: *maxBlocks},
-		Mutation:    *mutate,
 		Aggregate:   *aggFlag,
 		JitterPct:   *jitter,
 		MaxEvents:   *maxEvents,
@@ -102,30 +114,30 @@ func main() {
 	if !*quiet {
 		o.Log = os.Stderr
 	}
-	if *seed >= 0 {
+	if seedSet {
 		o.Seeds, o.Start = 1, *seed
 	}
 
 	if *server != "" {
-		if *repro || *mutate != "" {
-			fmt.Fprintln(os.Stderr, "protofuzz: -server does not support -repro or -mutate (run those locally)")
+		if *repro {
+			fmt.Fprintln(os.Stderr, "protofuzz: -server does not support -repro (run it locally)")
 			os.Exit(2)
 		}
-		runServer(ctx, *server, o, *expectFail, *out)
+		runServer(ctx, *server, o, *out)
 		return
 	}
 
 	if *repro {
-		if *seed < 0 {
+		if !seedSet {
 			fmt.Fprintln(os.Stderr, "protofuzz: -repro requires -seed")
 			os.Exit(2)
 		}
 		r := chaos.RunSeed(*seed, o)
 		fmt.Print(r.Render())
 		if r.Failed() {
-			exit(*expectFail, true)
+			os.Exit(1)
 		}
-		exit(*expectFail, false)
+		return
 	}
 
 	rep := chaos.Fuzz(o)
@@ -149,17 +161,17 @@ func main() {
 	}
 	if rep.Ok() {
 		fmt.Printf("protofuzz: %d seeds clean (scale=%s start=%d)\n", rep.SeedsRun, sc, o.Start)
-		exit(*expectFail, false)
+		return
 	}
 	fmt.Printf("protofuzz: %d/%d seeds failed\n", len(rep.Failures), rep.SeedsRun)
-	exit(*expectFail, true)
+	os.Exit(1)
 }
 
 // runServer submits the seed band as one batch to a dsmserve instance
 // and consumes the NDJSON verdict stream. The differential oracle runs
 // server-side; this client checks verdicts, honors -max-failures, and
 // writes reproducer artifacts for failing seeds.
-func runServer(ctx context.Context, base string, o chaos.Options, expectFail bool, out string) {
+func runServer(ctx context.Context, base string, o chaos.Options, out string) {
 	cl := &serve.Client{Base: base}
 	req := serve.BatchRequest{SeedRange: &serve.SeedRange{
 		Start:     o.Start,
@@ -218,10 +230,10 @@ func runServer(ctx context.Context, base string, o chaos.Options, expectFail boo
 	}
 	if failed == 0 {
 		fmt.Printf("protofuzz: %d seeds clean (server=%s scale=%s start=%d)\n", seedsRun, base, o.Scale, o.Start)
-		exit(expectFail, false)
+		return
 	}
 	fmt.Printf("protofuzz: %d/%d seeds failed\n", failed, seedsRun)
-	exit(expectFail, true)
+	os.Exit(1)
 }
 
 // diffOf extracts a result's differential payload, nil if absent.
@@ -244,17 +256,4 @@ func writeReproducer(dir string, f chaos.Failure) error {
 	path := filepath.Join(dir, fmt.Sprintf("chaos-seed-%d.json", f.Seed))
 	fmt.Printf("  reproducer: %s\n", path)
 	return os.WriteFile(path, data, 0o644)
-}
-
-// exit maps (expectFail, failed) to the process status: normally
-// failures are fatal; under -expect-fail a clean campaign is the error.
-func exit(expectFail, failed bool) {
-	switch {
-	case expectFail && !failed:
-		fmt.Fprintln(os.Stderr, "protofuzz: expected a failure but every seed passed")
-		os.Exit(1)
-	case !expectFail && failed:
-		os.Exit(1)
-	}
-	os.Exit(0)
 }

@@ -1,13 +1,13 @@
 // Aggregation differential band: node-leader aggregation must be
 // timing-visible but memory-invariant on every derived seed, the
-// parallel engine must stay byte-identical with aggregation on, and the
-// agg-drop-entry mutation must be caught and shrunk by the oracle.
+// parallel engine must stay byte-identical with aggregation on.
 package chaos
 
 import (
 	"strings"
 	"testing"
 
+	"presto/internal/network"
 	"presto/internal/rt"
 )
 
@@ -78,32 +78,6 @@ func TestSingleRunAggregates(t *testing.T) {
 	}
 }
 
-// TestAggDropMutationCaughtAndShrunk injects the aggregation
-// entry-dropping defect and requires the differential oracle to catch
-// it (via a wedged run or the conservation identity) and shrink it to a
-// small reproducer carrying the right repro flags.
-func TestAggDropMutationCaughtAndShrunk(t *testing.T) {
-	rep := Fuzz(Options{Seeds: 120, Mutation: rt.MutationAggDropEntry})
-	if rep.Ok() {
-		t.Fatalf("mutation %s not caught over %d seeds", rt.MutationAggDropEntry, rep.SeedsRun)
-	}
-	f := rep.Failures[0]
-	if !f.MinResult.Failed() {
-		t.Fatal("shrunk reproducer does not fail")
-	}
-	if f.Min.Nodes > 6 || f.Min.Phases > 3 {
-		t.Errorf("reproducer not minimal: nodes=%d phases=%d (want <=6, <=3)",
-			f.Min.Nodes, f.Min.Phases)
-	}
-	if !strings.Contains(f.Repro, "-mutate "+rt.MutationAggDropEntry) {
-		t.Errorf("repro command incomplete: %s", f.Repro)
-	}
-	o := Options{Mutation: rt.MutationAggDropEntry, Caps: f.Min}
-	if r := RunSeed(f.Seed, o); !r.Failed() {
-		t.Errorf("repro seed %d with caps %+v does not fail", f.Seed, f.Min)
-	}
-}
-
 // TestHierarchicalTopologySeeds pins the sentinel materialization and
 // executes a handcrafted fat-tree spec: 16 nodes is the one quick-range
 // count where fattree:2 survives, and the engines must agree on it.
@@ -138,4 +112,11 @@ func TestHierarchicalTopologySeeds(t *testing.T) {
 	if d := serial.diff(par); len(d) != 0 {
 		t.Fatalf("fat-tree engines diverge: %v", d)
 	}
+}
+
+// clustered reports whether the spec's interconnect has node groups —
+// the shapes node-leader aggregation coalesces across.
+func (s Spec) clustered() bool {
+	p, err := network.Preset(s.Net)
+	return err == nil && p.Clustered()
 }

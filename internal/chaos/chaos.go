@@ -11,27 +11,22 @@ import (
 type Options struct {
 	// Seeds is the number of consecutive seeds to run (default 50).
 	Seeds int
-	// Start is the first seed (default 1).
+	// Start is the first seed.
 	Start int64
 	// Scale bounds derivation (default ScaleQuick).
 	Scale Scale
 	// Caps further bounds derivation (the -max-* repro flags).
 	Caps Caps
-	// Mutation injects a named protocol defect into every run
-	// (rt.Mutation*). The campaign is then expected to fail — mutation
-	// testing of the oracle itself.
-	Mutation string
 	// Aggregate runs every combination with node-leader message
 	// aggregation enabled (rt.Config.Aggregate). A timing-visible no-op
-	// on seeds whose interconnect is flat; implied by the agg-drop-entry
-	// mutation.
+	// on seeds whose interconnect is flat.
 	Aggregate bool
 	// JitterPct overrides the derived interconnect jitter: 0 derives it
 	// from the seed (default), >0 forces that percentage, <0 forces
 	// jitter off.
 	JitterPct int
 	// MaxEvents bounds each run's simulation events, the livelock guard
-	// for mutated protocols (default 20M).
+	// for a broken protocol (default 20M).
 	MaxEvents int64
 	// MaxFailures stops the campaign after this many failing seeds
 	// (default 1).
@@ -50,9 +45,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Seeds == 0 {
 		o.Seeds = 50
-	}
-	if o.Start == 0 {
-		o.Start = 1
 	}
 	if o.Scale == "" {
 		o.Scale = ScaleQuick

@@ -21,21 +21,6 @@ func comboKey(p rt.ProtocolKind, e rt.EngineKind) string {
 	return string(p) + "/" + string(e)
 }
 
-// engineMutation reports whether a named defect lives in the parallel
-// engine (rather than a protocol): such mutations are injected only into
-// parallel runs.
-func engineMutation(name string) bool {
-	return name == rt.MutationStealReverseRun
-}
-
-// aggMutation reports whether a named defect lives in the node-leader
-// aggregation layer: such mutations imply Options.Aggregate and are
-// injected only into seeds whose interconnect is clustered (a flat
-// fabric has nothing to coalesce, and rt rejects the combination).
-func aggMutation(name string) bool {
-	return name == rt.MutationAggDropEntry
-}
-
 // SeedResult is the differential oracle's verdict on one seed.
 type SeedResult struct {
 	Seed int64 `json:"seed"`
@@ -71,27 +56,11 @@ func RunSeed(seed int64, o Options) SeedResult {
 	fail := func(format string, args ...any) {
 		res.Failures = append(res.Failures, fmt.Sprintf(format, args...))
 	}
-	// Aggregation-layer mutations imply aggregated runs, and only bind on
-	// clustered interconnects — a flat-fabric seed runs honestly (and
-	// passes), so the campaign's catch comes from its clustered seeds.
-	campaignMut := o.Mutation
-	agg := o.Aggregate || aggMutation(campaignMut)
-	if aggMutation(campaignMut) && !res.Spec.clustered() {
-		campaignMut = ""
-	}
 	for _, p := range protocols {
 		var fps [2]Fingerprint
 		for i, e := range engines {
-			// Engine mutations target the parallel engine only: the
-			// serial run stays the honest reference the divergence is
-			// measured against.
-			mut := campaignMut
-			if engineMutation(mut) && e != rt.EngineParallel {
-				mut = ""
-			}
 			fp := Execute(res.Spec, rt.Config{
-				Protocol: p, Engine: e, ChaosMutation: mut,
-				MaxEvents: o.MaxEvents, Aggregate: agg,
+				Protocol: p, Engine: e, MaxEvents: o.MaxEvents, Aggregate: o.Aggregate,
 			})
 			res.Runs[comboKey(p, e)] = fp
 			fps[i] = fp

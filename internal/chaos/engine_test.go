@@ -37,26 +37,3 @@ func TestEngineWorkersBand(t *testing.T) {
 		t.Fatal("band derived no clustered interconnects; the pair matrix went unexercised")
 	}
 }
-
-// TestStealReverseRunMutationCaught injects the engine defect — window
-// runs executed tail-first, the ordering property work stealing must
-// preserve — and requires the differential oracle to catch and shrink
-// it. The serial reference stays honest; only parallel runs are mutated.
-func TestStealReverseRunMutationCaught(t *testing.T) {
-	rep := Fuzz(Options{Seeds: 60, Mutation: rt.MutationStealReverseRun})
-	if rep.Ok() {
-		t.Fatalf("mutation %s not caught over %d seeds", rt.MutationStealReverseRun, rep.SeedsRun)
-	}
-	f := rep.Failures[0]
-	if !f.MinResult.Failed() {
-		t.Fatal("shrunk reproducer does not fail")
-	}
-	if !strings.Contains(f.Repro, "-mutate "+rt.MutationStealReverseRun) {
-		t.Errorf("repro command incomplete: %s", f.Repro)
-	}
-	// The printed reproducer must actually reproduce.
-	o := Options{Mutation: rt.MutationStealReverseRun, Caps: f.Min}
-	if r := RunSeed(f.Seed, o); !r.Failed() {
-		t.Errorf("repro seed %d with caps %+v does not fail", f.Seed, f.Min)
-	}
-}

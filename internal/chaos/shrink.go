@@ -82,9 +82,6 @@ func ReproCommand(seed int64, o Options, c Caps) string {
 	if c.Blocks > 0 {
 		fmt.Fprintf(&b, " -max-blocks %d", c.Blocks)
 	}
-	if o.Mutation != "" {
-		fmt.Fprintf(&b, " -mutate %s", o.Mutation)
-	}
 	if o.Aggregate {
 		fmt.Fprintf(&b, " -aggregate")
 	}

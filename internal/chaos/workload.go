@@ -82,9 +82,8 @@ func (f Fingerprint) diff(g Fingerprint) []string {
 // Execute runs the spec once under one run configuration and fingerprints
 // the outcome. The spec supplies the machine shape — Nodes, BlockSize and
 // the jittered interconnect overwrite those fields of cfg — and cfg
-// supplies everything else: protocol, engine, the reference oracles, an
-// injected defect (ChaosMutation; empty for honest runs) and the
-// MaxEvents livelock guard (a mutated protocol may spin). An explicit
+// supplies everything else: protocol, engine, the reference oracles and
+// the MaxEvents livelock guard (a broken protocol may spin). An explicit
 // worker count is clamped to the spec's lane count (a clustered
 // interconnect coarsens lanes to node groups), so band tests can sweep
 // fixed worker counts across arbitrary derived shapes.
@@ -158,13 +157,6 @@ func runMachine(s Spec, cfg rt.Config) (Fingerprint, *rt.Machine) {
 	// fingerprints of identical runs compare equal.
 	sort.Strings(fp.Violations)
 	return fp, m
-}
-
-// clustered reports whether the spec's interconnect has node groups —
-// the shapes node-leader aggregation coalesces across.
-func (s Spec) clustered() bool {
-	p, err := network.Preset(s.Net)
-	return err == nil && p.Clustered()
 }
 
 // workload holds the spec's shared aggregates on one machine.

@@ -23,9 +23,6 @@ import (
 // reaches every state, deduplicated by a hash that ignores time.
 type Explore struct {
 	Caches, Writes int
-	// Mutation is injected as rt.Config.ChaosMutation; an exploration of
-	// a mutated protocol must find a violation.
-	Mutation string
 }
 
 // Exploration reports an exhaustive search. Violation is empty when every
@@ -77,7 +74,7 @@ type replayed struct {
 
 // replay runs a fresh machine along prefix and stops at the next choice.
 func (x Explore) replay(prefix []int) (r replayed) {
-	m := rt.New(rt.Config{Nodes: x.Caches + 1, BlockSize: 16, ChaosMutation: x.Mutation, MaxEvents: 1 << 12})
+	m := rt.New(rt.Config{Nodes: x.Caches + 1, BlockSize: 16, MaxEvents: 1 << 12})
 	a := m.AS.NewRegion("explored", 16, func(int64) int { return 0 }).Base()
 	b := m.AS.BlockOf(a)
 

@@ -68,7 +68,7 @@ func benchAggFlush64(b *testing.B) {
 		n := n
 		n.ProtoProc = k.SpawnHandler("proto", n.HandleDelivery)
 	}
-	all[0].EnableAggregation(false)
+	all[0].EnableAggregation()
 	entries := make([]tempest.BulkEntry, entryBulk)
 	for i := range entries {
 		entries[i] = tempest.BulkEntry{Block: r.BlockAt(int64(i)), Data: make([]byte, 32)}

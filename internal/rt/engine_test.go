@@ -133,7 +133,6 @@ func TestConfigValidate(t *testing.T) {
 		{"nodes high", rt.Config{Nodes: 5000}, "node count 5000"},
 		{"nodes negative", rt.Config{Nodes: -1}, "node count -1"},
 		{"workers negative", rt.Config{Workers: -1}, "negative worker count"},
-		{"mutation", rt.Config{ChaosMutation: "nope"}, "unknown chaos mutation"},
 		{"topology mismatch", rt.Config{Nodes: 6, Net: net}, "machine has 6"},
 		{"template skips shape", rt.Config{Net: net, Engine: rt.EngineParallel, Workers: 8}, ""},
 		{"sized workers", rt.Config{Nodes: 8, Net: net, Engine: rt.EngineParallel, Workers: 8}, "4 lanes"},
@@ -189,16 +188,5 @@ func TestExecInfo(t *testing.T) {
 	// caller, never by Report.
 	if m.Report().Exec != nil {
 		t.Fatal("Report() filled Exec; it must stay deterministic")
-	}
-}
-
-// TestStealReverseRunMutationRejectedOnSerial: the engine mutation is
-// meaningless without the parallel engine and must be rejected rather
-// than silently ignored.
-func TestStealReverseRunMutationRejectedOnSerial(t *testing.T) {
-	m := rt.New(rt.Config{Nodes: 2, ChaosMutation: rt.MutationStealReverseRun})
-	err := m.Run(func(w *rt.Worker) { w.Barrier() })
-	if err == nil || !strings.Contains(err.Error(), "parallel") {
-		t.Fatalf("serial engine accepted %s: %v", rt.MutationStealReverseRun, err)
 	}
 }

@@ -112,10 +112,6 @@ type Config struct {
 	// SchedWheel). SchedHeap is the reference heap the differential tests
 	// compare against; results are byte-identical either way.
 	Sched SchedKind
-	// ChaosMutation names a deliberate protocol defect to inject
-	// (mutation testing for internal/chaos — the differential oracle must
-	// catch every listed mutation). Empty in normal operation.
-	ChaosMutation string
 	// Storage selects the block-state backend for directories, protocol
 	// deferral state and schedules: blockstate.Dense (default) uses paged
 	// tables indexed by block index; blockstate.MapRef keeps the map-based
@@ -135,28 +131,6 @@ type Config struct {
 	// way.
 	Record bool
 }
-
-// Chaos mutations accepted by Config.ChaosMutation.
-const (
-	// MutationStacheSkipDeferral disables Stache's cache-side deferral of
-	// invalidations/recalls that overtake the data grant they chase.
-	MutationStacheSkipDeferral = "stache-skip-deferral"
-	// MutationStealReverseRun makes the parallel engine execute each
-	// lane's initial window run tail-first, breaking the execution-order
-	// guarantee work stealing must preserve. Requires EngineParallel.
-	MutationStealReverseRun = "steal-reverse-run"
-	// MutationAggDropEntry makes node-leader aggregation drop one
-	// coalesced bulk entry per multi-part flush. Memory is never
-	// corrupted, but the loss is not silent: on the pre-send path the
-	// home has already registered the consumer as a sharer, so the
-	// consumer's refetch is treated as in flight and the run deadlocks;
-	// paths that do recover leave AggEntriesOut != AggEntriesIn for the
-	// conservation identity (check.Accounting). Either signal — a run
-	// error or the counter gap — is what the differential oracle keys
-	// on, not the memory hash. Requires Aggregate and a clustered
-	// interconnect.
-	MutationAggDropEntry = "agg-drop-entry"
-)
 
 func (c *Config) withDefaults() Config {
 	out := *c
@@ -182,9 +156,9 @@ func (c *Config) withDefaults() Config {
 }
 
 // Validate reports a configuration the machine cannot run: an unknown
-// protocol, engine, scheduler, storage backend or mutation, a block size
-// or node count out of range, bad interconnect parameters, or a worker
-// count the engine cannot honor. The CLIs and the service call it on
+// protocol, engine, scheduler or storage backend, a block size or node
+// count out of range, bad interconnect parameters, or a worker count the
+// engine cannot honor. The CLIs and the service call it on
 // outside input so a bad value is one error line, not a panic in New;
 // Run calls it before anything is spawned, because a configuration error
 // past that point would strand the compute processors' goroutines.
@@ -218,19 +192,6 @@ func (c Config) Validate() error {
 	}
 	if err := c.Net.Validate(); err != nil {
 		return fmt.Errorf("rt: bad interconnect parameters: %w", err)
-	}
-	switch c.ChaosMutation {
-	case "", MutationStacheSkipDeferral:
-	case MutationStealReverseRun:
-		if c.Engine != EngineParallel {
-			return fmt.Errorf("rt: mutation %q targets the parallel engine, machine runs %q", c.ChaosMutation, c.Engine)
-		}
-	case MutationAggDropEntry:
-		if !c.Aggregate || !c.Net.Clustered() {
-			return fmt.Errorf("rt: mutation %q targets node-leader aggregation (needs Aggregate on a clustered interconnect)", c.ChaosMutation)
-		}
-	default:
-		return fmt.Errorf("rt: unknown chaos mutation %q", c.ChaosMutation)
 	}
 	if !sized {
 		return nil
@@ -308,9 +269,6 @@ func New(cfg Config) *Machine {
 	case ProtoStache:
 		s := stache.New()
 		s.Storage = c.Storage
-		if c.ChaosMutation == MutationStacheSkipDeferral {
-			s.BreakOvertakingDeferral = true
-		}
 		m.Proto = s
 	case ProtoPredictive:
 		p := core.New()
@@ -377,7 +335,7 @@ func (m *Machine) Run(prog Program) error {
 		n.Peers = m.Nodes
 		m.Proto.Init(n)
 		if c.Aggregate {
-			n.EnableAggregation(c.ChaosMutation == MutationAggDropEntry)
+			n.EnableAggregation()
 		}
 	}
 	if c.Profile {
@@ -422,10 +380,9 @@ func (m *Machine) Run(prog Program) error {
 	// maps both of node i's procs to node i, and dividing by the group size
 	// folds a group's nodes onto one lane.
 	pcfg := sim.ParallelConfig{
-		Workers:           m.workers,
-		Lanes:             m.lanes,
-		LaneOf:            func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
-		MutateReverseRuns: c.ChaosMutation == MutationStealReverseRun,
+		Workers: m.workers,
+		Lanes:   m.lanes,
+		LaneOf:  func(p *sim.Proc) int { return (p.ID() % c.Nodes) / gsize },
 	}
 	if m.lanes == 1 {
 		// One lane has no cross-lane hazards; any positive window is

@@ -1,12 +1,10 @@
 // Node-leader message aggregation tests: memory invariance, coalesced-
-// entry conservation, cross-group traffic reduction, engine identity,
-// and the agg-drop-entry mutation contract.
+// entry conservation, cross-group traffic reduction and engine identity.
 package rt_test
 
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 
 	"presto/internal/check"
@@ -172,45 +170,6 @@ func TestAggregationEngineIdentity(t *testing.T) {
 		}
 		if !bytes.Equal(sref, pref) {
 			t.Fatalf("workers=%d: parallel report diverges from serial", workers)
-		}
-	}
-}
-
-// TestAggDropEntryMutation pins the oracle contract: the mutation is
-// rejected without aggregation; with it, the run either wedges (the
-// home believes the dropped copy is in flight, so the consumer's
-// refetch is never answered — a detected deadlock) or, if it happens to
-// complete, the conservation identity reports the loss. Either way the
-// defect cannot slip through, even though the memory hash alone might
-// miss it.
-func TestAggDropEntryMutation(t *testing.T) {
-	net, err := network.Preset("cluster:4x8")
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := rt.New(rt.Config{Nodes: 32, Net: net, ChaosMutation: rt.MutationAggDropEntry})
-	if err := m.Run(func(w *rt.Worker) { w.Barrier() }); err == nil ||
-		!strings.Contains(err.Error(), "Aggregate") {
-		t.Fatalf("mutation without Aggregate accepted: %v", err)
-	}
-
-	cfg := rt.Config{Nodes: 32, BlockSize: 32, Net: net, Protocol: rt.ProtoPredictive,
-		Aggregate: true, ChaosMutation: rt.MutationAggDropEntry}
-	mut := rt.New(cfg)
-	runErr := mut.Run(broadcastProg(mut, 4))
-	c := mut.Counters()
-	if c.AggEntriesIn >= c.AggEntriesOut {
-		t.Fatalf("mutation dropped nothing: %d out, %d in", c.AggEntriesOut, c.AggEntriesIn)
-	}
-	if runErr == nil {
-		found := false
-		for _, v := range check.Accounting(mut) {
-			if strings.Contains(v, "aggregation conservation") {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatal("mutated run completed and the conservation check missed the dropped entry")
 		}
 	}
 }

@@ -90,13 +90,6 @@ type ParallelConfig struct {
 	// purely through messages delayed by at least Lookahead.
 	Lanes  int
 	LaneOf func(p *Proc) int
-
-	// MutateReverseRuns is a chaos mutation hook: reverse the initial
-	// event order of every lane except lane 0 in each window, so lanes
-	// execute their window events tail-first. This breaks the engine's
-	// execution-order invariant on purpose; the differential oracles must
-	// detect the divergence. Never set outside mutation testing.
-	MutateReverseRuns bool
 }
 
 // laneStep records one event processed by a lane inside a window: the
@@ -298,7 +291,6 @@ type winExec struct {
 	base      Time // window start T (earliest pending event when opened)
 	windowEnd Time // executed window bound T + width
 	pending   int  // window events handed to lanes, not yet committed
-	reverse   bool // chaos mutation: execute lanes' window runs tail-first
 
 	err      error
 	panicVal any // a Proc-body panic re-raised by the commit
@@ -350,20 +342,6 @@ func (x *winExec) open() error {
 		l.pending = append(l.pending, e)
 		x.order = append(x.order, l)
 		x.pending++
-	}
-	if x.reverse {
-		// Chaos mutation: flip every non-zero lane's initial run so the
-		// window executes tail-first. Mailbox deliveries then arrive in
-		// the wrong order — a divergence the differential oracles must
-		// catch against the serial engine.
-		for _, l := range x.active {
-			if l.id == 0 {
-				continue
-			}
-			for i, j := 0, len(l.pending)-1; i < j; i, j = i+1, j-1 {
-				l.pending[i], l.pending[j] = l.pending[j], l.pending[i]
-			}
-		}
 	}
 	if x.eng != nil {
 		x.eng.observe(len(x.active), x.pending)
@@ -600,7 +578,7 @@ func (k *Kernel) RunParallel(cfg ParallelConfig) error {
 	if k.rec != nil {
 		k.eng = &EngineFlight{LaneHist: make([]int64, nlanes)}
 	}
-	wx := &winExec{k: k, width: width, rowMin: rowMin, eng: k.eng, reverse: cfg.MutateReverseRuns}
+	wx := &winExec{k: k, width: width, rowMin: rowMin, eng: k.eng}
 
 	// Pool mode: each window is broadcast to every worker. Worker w owns
 	// the active-lane positions congruent to w mod workers and claims

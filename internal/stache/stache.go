@@ -47,14 +47,6 @@ type Protocol struct {
 	// predictive protocol).
 	Hooks Hooks
 
-	// BreakOvertakingDeferral deliberately disables the cache-side
-	// deferral of invalidations and recalls that overtake the data grant
-	// they chase (the two benign races in the package comment). It exists
-	// solely as a mutation for the chaos subsystem's differential oracle
-	// (internal/chaos), which must detect the resulting stale copies and
-	// stuck recalls; it must never be set in normal operation.
-	BreakOvertakingDeferral bool
-
 	// Storage selects the block-state backend for per-node deferral
 	// bookkeeping (dense paged tables by default; the map reference for
 	// the chaos storage oracle). Set before Init.
@@ -484,22 +476,15 @@ func (s *Protocol) handleInval(n *tempest.Node, m tempest.MsgInval) {
 		state(n).or(m.Block, flagPostInval)
 		return
 	}
-	home := n.Peers[n.AS.HomeOf(m.Block)]
 	l := n.Store.Line(m.Block)
 	if l == nil || l.Tag == memory.Invalid {
-		if s.BreakOvertakingDeferral {
-			// MUTATION: acknowledge an invalidation whose data has not
-			// arrived without remembering it — the grant it overtook will
-			// later install a stale read-only copy behind the home's back.
-			n.Post(n.ProtoProc, home, tempest.MsgInvalAck{Block: m.Block, From: n.ID})
-			return
-		}
 		// The data this invalidation chases has not arrived yet; defer
 		// the acknowledgement until it does.
 		state(n).or(m.Block, flagDeferInval)
 		return
 	}
 	n.Store.SetTag(m.Block, memory.Invalid)
+	home := n.Peers[n.AS.HomeOf(m.Block)]
 	n.Post(n.ProtoProc, home, tempest.MsgInvalAck{Block: m.Block, From: n.ID})
 }
 
@@ -513,12 +498,6 @@ func (s *Protocol) handleRecall(n *tempest.Node, b memory.Block, kind recallKind
 	}
 	l := n.Store.Line(b)
 	if l == nil || l.Tag != memory.ReadWrite {
-		if s.BreakOvertakingDeferral {
-			// MUTATION: drop a recall that overtook the writable grant it
-			// chases — the home stays in AwaitWB forever and the grant
-			// installs without ever being recalled.
-			return
-		}
 		// The writable grant is still in flight; defer.
 		state(n).or(b, uint8(kind)<<deferRecallShift)
 		return

@@ -85,17 +85,12 @@ type aggBuf struct {
 }
 
 // EnableAggregation turns on node-leader coalescing for this node's
-// cross-group bulks. dropEntry is the chaos mutation hook: a flush
-// silently drops one coalesced entry, which surfaces either as a
-// deadlock (a pre-send's consumer refetches a copy its home believes is
-// in flight) or as an AggEntriesOut/AggEntriesIn gap in the aggregation
-// conservation identity (check.Accounting).
-func (n *Node) EnableAggregation(dropEntry bool) {
+// cross-group bulks.
+func (n *Node) EnableAggregation() {
 	if !n.Net.Clustered() {
 		return // nothing to coalesce on a flat machine
 	}
 	n.aggOn = true
-	n.aggDrop = dropEntry
 	n.aggBufs = make([]aggBuf, n.Net.Groups)
 }
 
@@ -175,17 +170,6 @@ func (n *Node) flushAggGroup(src *sim.Proc, g int) {
 	}
 	for i := range parts {
 		n.Stats.AggEntriesOut += int64(len(parts[i].Bulk.Entries))
-	}
-	if n.aggDrop {
-		// Chaos mutation: lose one coalesced entry on the wire. Counted
-		// as sent but never redistributed, so AggEntriesIn falls short
-		// of AggEntriesOut machine-wide.
-		for i := range parts {
-			if k := len(parts[i].Bulk.Entries); k > 0 {
-				parts[i].Bulk.Entries = parts[i].Bulk.Entries[:k-1]
-				break
-			}
-		}
 	}
 	n.Stats.AggMsgs++
 	leader := n.Peers[g*n.Net.GroupSize]

@@ -70,8 +70,8 @@ type DirEntry struct {
 	GranteeWrite   bool
 	GranteePresend bool
 
-	// Requests queued behind the in-progress transaction. Mutate through
-	// Directory.PushPending/PopPending (slab-managed).
+	// Requests queued behind the in-progress transaction. Change it
+	// only through Directory.PushPending/PopPending (slab-managed).
 	pend pendQueue
 }
 

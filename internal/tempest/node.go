@@ -170,9 +170,8 @@ type Node struct {
 
 	// Node-leader aggregation state (see aggregate.go): aggBufs is
 	// indexed by destination group, aggDirty lists non-empty groups in
-	// first-enqueue order, aggDrop is the chaos drop-one-entry mutation.
+	// first-enqueue order.
 	aggOn    bool
-	aggDrop  bool
 	aggBufs  []aggBuf
 	aggDirty []int
 }
