@@ -15,14 +15,14 @@ import (
 //	go test ./internal/harness -run TestFigureCSVGolden -update
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files")
 
-// TestFigureCSVGolden locks the figure 5–7 harness output against
-// committed golden files: the quick-scale CSV rows — execution times,
+// TestFigureCSVGolden locks the figure 5–7 and block-size sweep harness
+// output against committed golden files: the quick-scale CSV rows — execution times,
 // fault counts, message counts — must reproduce bit-exactly under every
 // {scheduler} × {engine} combination. Any intentional change to the
 // protocols, cost model or workloads shows up as a reviewable golden diff
 // (regenerate with -update).
 func TestFigureCSVGolden(t *testing.T) {
-	for _, id := range []string{"figure5", "figure6", "figure7"} {
+	for _, id := range []string{"figure5", "figure6", "figure7", "sweep"} {
 		id := id
 		t.Run(id, func(t *testing.T) {
 			e, ok := ByID(id)
