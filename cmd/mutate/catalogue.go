@@ -305,4 +305,26 @@ func load(fr *frame, site int, a memory.Addr, ok bool) float64 {
 			Want: `nsquared: four steps allocate \S+ objects over 64 elements but \S+ over 1024`,
 		}},
 	},
+	// The harness row memo: a row is keyed under its whole run-wide
+	// template and a hit answers under the caller's label.
+	{
+		Name: "harness-memo-key-drops-engine",
+		File: "internal/harness/memo.go",
+		Old:  `k := rowKey{run: v.run, scale: o.Scale, machine: o.Machine}`,
+		New:  `k := rowKey{run: v.run, scale: o.Scale, machine: o.Machine}; k.machine.Engine = ""`,
+		Killers: []killer{{
+			Argv: []string{"go", "test", "./internal/harness", "-count=1", "-run", "TestRowMemoKeyedApart$"},
+			Want: `Engine: memo holds 1 rows, want 2`,
+		}},
+	},
+	{
+		Name: "harness-memo-hit-keeps-label",
+		File: "internal/harness/memo.go",
+		Old:  `r.Label, r.Phases = v.label, slices.Clone(r.Phases)`,
+		New:  `r.Phases = slices.Clone(r.Phases)`,
+		Killers: []killer{{
+			Argv: []string{"go", "test", "./internal/harness", "-count=1", "-run", "TestFigureCSVGolden$"},
+			Want: `sweep engine "serial" sched "wheel" diverges from testdata/golden/sweep\.csv`,
+		}},
+	},
 }

@@ -3,6 +3,7 @@ package harness
 import (
 	_ "embed"
 	"fmt"
+	"sync"
 
 	"presto/internal/apps/adaptive"
 	"presto/internal/apps/barnes"
@@ -11,6 +12,7 @@ import (
 	"presto/internal/compiler"
 	"presto/internal/lang"
 	"presto/internal/network"
+	"presto/internal/pool"
 	"presto/internal/rt"
 )
 
@@ -248,7 +250,9 @@ func (o Options) simulate(r figRun, record bool) (*rt.Machine, error) {
 
 // addRows appends one row per version to res: simulated, or under
 // Options.Predict extrapolated from one calibration per (application,
-// variant, protocol).
+// variant, protocol). Simulated rows run side by side on internal/pool,
+// each written to its own index, and the lowest-index error is the one
+// returned, so output and error text do not depend on the pool's width.
 func (o Options) addRows(res *Result, versions []figVersion) error {
 	if o.Predict {
 		p := predictor{}
@@ -266,17 +270,32 @@ func (o Options) addRows(res *Result, versions []figVersion) error {
 		predictNote(res, len(p))
 		return nil
 	}
-	for _, v := range versions {
-		m, err := o.simulate(v.run, false)
-		if err != nil {
-			return fmt.Errorf("%s: %w", v.label, err)
+	rows := make([]Row, len(versions))
+	errs := make([]error, len(versions))
+	var alone sync.RWMutex
+	pool.Each(len(versions), func(i int) {
+		// Two rules keep the host's peak memory flat. A Barnes row runs
+		// alone: at quick scale it holds up to 15 MB live and allocates
+		// up to 40 MB, three to ten times an Adaptive or Water row. Under
+		// the windowed engine every row runs alone, since that engine
+		// spreads one simulation over the cores itself.
+		v := versions[i]
+		lock, unlock := alone.RLock, alone.RUnlock
+		if o.Machine.Engine == rt.EngineParallel || v.run.app == "barnes" {
+			lock, unlock = alone.Lock, alone.Unlock
 		}
-		row := machineRow(v.label, m)
-		if err := o.attachProfile(&row, m, v.run.app); err != nil {
+		lock()
+		defer unlock()
+		if rows[i], errs[i] = o.row(v); errs[i] != nil {
+			errs[i] = fmt.Errorf("%s: %w", v.label, errs[i])
+		}
+	})
+	for _, err := range errs {
+		if err != nil {
 			return err
 		}
-		res.Rows = append(res.Rows, row)
 	}
+	res.Rows = append(res.Rows, rows...)
 	return nil
 }
 

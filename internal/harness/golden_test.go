@@ -16,12 +16,15 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata/golden CSV files")
 
 // TestFigureCSVGolden locks the figure 5–7 and block-size sweep harness
-// output against committed golden files: the quick-scale CSV rows — execution times,
-// fault counts, message counts — must reproduce bit-exactly under every
-// {scheduler} × {engine} combination. Any intentional change to the
-// protocols, cost model or workloads shows up as a reviewable golden diff
-// (regenerate with -update).
+// output against committed golden files: the quick-scale CSV rows —
+// execution times, fault counts, message counts — must reproduce
+// bit-exactly under every {scheduler} × {engine} combination. Any
+// intentional change to the protocols, cost model or workloads shows up
+// as a reviewable golden diff (regenerate with -update). It starts from
+// an empty row memo, so every row simulates in this test under the
+// current GOMAXPROCS, and sweep's Water rows are figure 7's, relabelled.
 func TestFigureCSVGolden(t *testing.T) {
+	freshMemo()
 	for _, id := range []string{"figure5", "figure6", "figure7", "sweep"} {
 		id := id
 		t.Run(id, func(t *testing.T) {

@@ -127,7 +127,7 @@ func (o Options) attachProfile(row *Row, m *rt.Machine, app string) error {
 		return err
 	}
 	if err := p.Validate(); err != nil {
-		return fmt.Errorf("%s: %w", row.Label, err)
+		return err
 	}
 	row.Profile = p
 	return nil

@@ -104,26 +104,22 @@ func FigureErrorTable(o Options) (*predict.ErrorTable, error) {
 	if err != nil {
 		return nil, err
 	}
-	p := predictor{}
+	simulated, predicted := o, o
+	simulated.Predict, predicted.Predict = false, true
 	table := &predict.ErrorTable{}
 	for _, fig := range []struct {
 		id       string
 		versions []figVersion
 	}{{"figure5", figure5Versions}, {"figure6", figure6Versions}, {"figure7", figure7Versions()}} {
-		for _, v := range fig.versions {
-			cal, err := p.calibration(o, v.run)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", fig.id, v.label, err)
-			}
-			pred, err := cal.Predict(predict.Target{BlockSize: v.run.bs})
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: %w", fig.id, v.label, err)
-			}
-			m, err := o.simulate(v.run, false)
-			if err != nil {
-				return nil, fmt.Errorf("%s %s: simulating: %w", fig.id, v.label, err)
-			}
-			table.Add(fig.id, v.label, v.run.bs, pred.ElapsedNS, int64(m.Elapsed()))
+		sim, pred := &Result{}, &Result{}
+		if err := simulated.addRows(sim, fig.versions); err != nil {
+			return nil, fmt.Errorf("%s: simulating: %w", fig.id, err)
+		}
+		if err := predicted.addRows(pred, fig.versions); err != nil {
+			return nil, fmt.Errorf("%s: %w", fig.id, err)
+		}
+		for i, v := range fig.versions {
+			table.Add(fig.id, v.label, v.run.bs, int64(pred.Rows[i].B.Elapsed), int64(sim.Rows[i].B.Elapsed))
 		}
 	}
 	return table, nil
