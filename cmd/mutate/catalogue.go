@@ -11,6 +11,10 @@ var (
 	lowered = []string{"go", "test", "./internal/interp", "-count=1", "-run", "TestLoweredMatchesWalker$"}
 	// HashMemory against the byte-wise FNV loop.
 	hashLoop = []string{"go", "test", "./internal/rt", "-count=1", "-run", "TestHashMemoryMatchesByteLoop$"}
+	// The line table's stability under growth, through a probe chain.
+	memoryLines = []string{"go", "test", "./internal/memory", "-count=1", "-run", "TestLinesNeverMove$"}
+	// The block-state tables against a plain map.
+	storeDiff = []string{"go", "test", "./internal/blockstate", "-count=1", "-run", "TestStoreDifferential$"}
 )
 
 // Want patterns shared by several mutants.
@@ -191,12 +195,16 @@ var catalogue = []mutant{
 		Survives: "gap: no oracle checks a pre-send hit scored through a cursor; ROADMAP item 9, the predictive explorer",
 	},
 
-	// HashMemory's shortcuts over the byte-wise fold.
+	// HashMemory's walk over the held pages.
 	{
 		Name: "hash-home-presence-only",
 		File: "internal/rt/machine.go",
-		Old:  `			if !m.pageHeld(r.ID, first/memory.PageBlocks) {`,
-		New:  `			if !m.Nodes[m.AS.HomeOf(r.BlockAt(first))].Store.HoldsPage(r.ID, first/memory.PageBlocks) {`,
+		Old:  `	held = slices.Compact(held)`,
+		New: `	held = slices.Compact(held)
+	held = slices.DeleteFunc(held, func(k uint64) bool { // ask the page's home only
+		b := m.AS.PageFirst(k)
+		return !m.Nodes[m.AS.HomeOf(b)].Store.HoldsPage(b)
+	})`,
 		Killers: []killer{
 			{Argv: hashLoop, Want: `with a remote-owned page: ` + hashDiffers},
 		},
@@ -204,8 +212,8 @@ var catalogue = []mutant{
 	{
 		Name: "hash-short-page-as-full",
 		File: "internal/rt/machine.go",
-		Old:  `					h *= fnvPow(n * bs)`,
-		New:  `					h *= pagePow`,
+		Old:  `		h *= fnvPow((nb - next) * bs)`,
+		New:  `		h *= fnvPow(((nb+memory.PageBlocks-1)&^(memory.PageBlocks-1) - next) * bs)`,
 		Killers: []killer{
 			{Argv: hashLoop, Want: hashDiffers},
 		},
@@ -217,6 +225,29 @@ var catalogue = []mutant{
 		New:  `			h *= fnvPrime`,
 		Killers: []killer{
 			{Argv: hashLoop, Want: hashDiffers},
+		},
+	},
+
+	// The hashed page index behind the line table and the block-state
+	// tables.
+	{
+		Name: "index-probe-stops-at-home",
+		File: "internal/memory/table.go",
+		Old:  `	for i := key * fibMul >> (t.shift & 63); i < uint64(len(t.keys)); i = (i + 1) & mask {`,
+		New:  `	for i := key * fibMul >> (t.shift & 63); i < uint64(len(t.keys)); i = (i+1)&mask + mask + 1 {`,
+		Killers: []killer{
+			{Argv: memoryLines, Want: `chained page 1 of 24: Line = 0x0`},
+			{Argv: storeDiff, Want: `--- FAIL: TestStoreDifferential/dense`},
+		},
+	},
+	{
+		Name: "index-growth-drops-last-slot",
+		File: "internal/memory/table.go",
+		Old:  `	for i, k := range keys {`,
+		New:  `	for i, k := range keys[:max(len(keys)-1, 0)] {`,
+		Killers: []killer{
+			{Argv: memoryLines, Want: `table holds \d+ lines, Lines\(\) = 10002`},
+			{Argv: storeDiff, Want: `--- FAIL: TestStoreDifferential/dense`},
 		},
 	},
 

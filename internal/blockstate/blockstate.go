@@ -3,17 +3,17 @@
 //
 // Every protocol-side structure in the simulator — home directory
 // entries, Stache deferral bookkeeping, communication-schedule entries —
-// is keyed by memory.Block. Blocks are dense integers within a region
-// (AddressSpace.BlockIndex), so a paged array beats a hash table on both
-// lookup cost and iteration order: pages are allocated on first touch,
-// occupancy bitsets make scans proportional to live entries, and ForEach
-// walks blocks in ascending order by construction.
+// is keyed by memory.Block. Neighbouring blocks tend to be used
+// together, so state lives in small pages of consecutive blocks, found
+// through the line table's hashed page index (memory.Table): pages are
+// allocated on first touch, occupancy bits make scans proportional to
+// live entries, and ForEach walks blocks in ascending order.
 //
 // Two backends implement the same Store interface:
 //
-//   - Paged: the production backend. Per-region slices of fixed-size
-//     pages holding inline values; slot pointers are stable for the
-//     table's lifetime (pages never move).
+//   - Paged: the production backend. Pages of memory.PageBlocks inline
+//     values; slot pointers are stable for the table's lifetime (pages
+//     never move).
 //   - Hash: a retained map-based reference. It mirrors the pre-dense
 //     implementation and exists so the chaos storage oracle
 //     (internal/chaos) can run identical workloads against both backends
@@ -69,28 +69,22 @@ func New[T any](as *memory.AddressSpace, kind Kind) Store[T] {
 	return NewPaged[T](as)
 }
 
-// pageBits sizes a page at 64 slots — one occupancy word, and the geometry
-// of memory.Store's line pages: small enough that sparsely-touched regions
-// (arenas, where a node keeps state for a handful of blocks per window)
-// cost memory proportional to use, large enough to amortize the two-level
-// indirection over dense ones.
-const pageBits = 6
-
-const pageSlots = 1 << pageBits
-
-// page holds a fixed window of block indices. occ marks live slots; the
-// slots array is inline so a hot page is one allocation and entries have
-// no per-entry pointer.
+// page holds the slots of one line-table page's memory.PageBlocks blocks.
+// occ marks live slots; the slots are inline so a page is one allocation
+// and entries have no per-entry pointer.
 type page[T any] struct {
-	occ   uint64
-	slots [pageSlots]T
+	key   uint64 // memory.AddressSpace.PageKey of the page's blocks
+	occ   uint8
+	slots [memory.PageBlocks]T
 }
 
-// Paged is the dense production backend.
+// Paged is the dense production backend: a memory.Table from page key to
+// page, so a table pays for the pages it touches. Pages are allocated on
+// first touch and never move or go away.
 type Paged[T any] struct {
-	as *memory.AddressSpace
-	// pages[regionID][pageIdx]; nil pages are untouched.
-	pages [][]*page[T]
+	as    *memory.AddressSpace
+	pages memory.Table[*page[T]] // allocated by the first Ensure
+	order []*page[T]             // every page, ascending by key, for ForEach
 	n     int
 }
 
@@ -101,23 +95,17 @@ func NewPaged[T any](as *memory.AddressSpace) *Paged[T] {
 
 // locate resolves b to its page and slot, growing nothing.
 func (p *Paged[T]) locate(b memory.Block) (pg *page[T], slot int) {
-	rid := b.RegionID()
-	if rid >= len(p.pages) {
-		return nil, 0
+	slot = p.as.PageSlot(b)
+	if pp := p.pages.Get(p.as.PageKey(b)); pp != nil {
+		return *pp, slot
 	}
-	idx := p.as.BlockIndex(b)
-	pi := int(idx >> pageBits)
-	region := p.pages[rid]
-	if pi >= len(region) {
-		return nil, 0
-	}
-	return region[pi], int(idx & (pageSlots - 1))
+	return nil, slot
 }
 
 // Get returns the value for b, or nil if absent.
 func (p *Paged[T]) Get(b memory.Block) *T {
 	pg, slot := p.locate(b)
-	if pg == nil || pg.occ&(1<<uint(slot)) == 0 {
+	if pg == nil || pg.occ&(1<<slot) == 0 {
 		return nil
 	}
 	return &pg.slots[slot]
@@ -125,55 +113,40 @@ func (p *Paged[T]) Get(b memory.Block) *T {
 
 // Ensure returns the value for b, materializing a zeroed slot if absent.
 func (p *Paged[T]) Ensure(b memory.Block) (*T, bool) {
-	// Fast path: the page already exists (steady state after warm-up).
-	if pg, slot := p.locate(b); pg != nil {
-		m := uint64(1) << uint(slot)
-		if pg.occ&m != 0 {
-			return &pg.slots[slot], false
-		}
-		pg.occ |= m
-		p.n++
-		return &pg.slots[slot], true
+	pg, slot := p.locate(b)
+	if pg == nil {
+		pg = p.newPage(p.as.PageKey(b))
 	}
-	return p.ensureSlow(b)
-}
-
-// ensureSlow grows the region and page tables for b's first touch. It is
-// only entered when b's page is nil.
-func (p *Paged[T]) ensureSlow(b memory.Block) (*T, bool) {
-	rid := b.RegionID()
-	p.pages = growTo(p.pages, rid)
-	idx := p.as.BlockIndex(b)
-	pi := int(idx >> pageBits)
-	p.pages[rid] = growTo(p.pages[rid], pi)
-	pg := &page[T]{}
-	p.pages[rid][pi] = pg
-	slot := int(idx & (pageSlots - 1))
-	pg.occ = uint64(1) << uint(slot)
+	if pg.occ&(1<<slot) != 0 {
+		return &pg.slots[slot], false
+	}
+	pg.occ |= 1 << slot
 	p.n++
 	return &pg.slots[slot], true
 }
 
-// growTo extends s with zero values, in one step, until s[i] exists.
-func growTo[E any](s []E, i int) []E {
-	if i < len(s) {
-		return s
+// newPage allocates the page with the given key and records it in the
+// table and in order, which stays sorted by key.
+func (p *Paged[T]) newPage(key uint64) *page[T] {
+	pg := &page[T]{key: key}
+	pp, _ := p.pages.Put(key)
+	*pp = pg
+	i := len(p.order)
+	for i > 0 && p.order[i-1].key > key {
+		i--
 	}
-	return slices.Grow(s, i+1-len(s))[:i+1]
+	p.order = slices.Insert(p.order, i, pg)
+	return pg
 }
 
 // Remove drops b's value and zeroes its slot so a later Ensure sees a
 // fresh zero value.
 func (p *Paged[T]) Remove(b memory.Block) {
 	pg, slot := p.locate(b)
-	if pg == nil {
+	if pg == nil || pg.occ&(1<<slot) == 0 {
 		return
 	}
-	m := uint64(1) << uint(slot)
-	if pg.occ&m == 0 {
-		return
-	}
-	pg.occ &^= m
+	pg.occ &^= 1 << slot
 	var zero T
 	pg.slots[slot] = zero
 	p.n--
@@ -182,24 +155,14 @@ func (p *Paged[T]) Remove(b memory.Block) {
 // Len returns the number of live entries.
 func (p *Paged[T]) Len() int { return p.n }
 
-// ForEach visits live entries in ascending block order: regions in ID
-// order, pages in index order, occupancy bits low to high.
+// ForEach visits live entries in ascending block order: pages in key
+// order, occupancy bits low to high.
 func (p *Paged[T]) ForEach(fn func(b memory.Block, v *T)) {
-	regions := p.as.Regions()
-	for rid, region := range p.pages {
-		if region == nil {
-			continue
-		}
-		r := regions[rid]
-		for pi, pg := range region {
-			if pg == nil {
-				continue
-			}
-			base := int64(pi) << pageBits
-			for word := pg.occ; word != 0; word &= word - 1 {
-				slot := bits.TrailingZeros64(word)
-				fn(r.BlockAt(base+int64(slot)), &pg.slots[slot])
-			}
+	for _, pg := range p.order {
+		first := p.as.PageFirst(pg.key)
+		for occ := pg.occ; occ != 0; occ &= occ - 1 {
+			slot := bits.TrailingZeros8(occ)
+			fn(first.Add(int64(slot)*int64(p.as.BlockSize())), &pg.slots[slot])
 		}
 	}
 }
@@ -266,11 +229,16 @@ func NewBitTable(as *memory.AddressSpace) *BitTable {
 // Set marks b and reports whether it was newly set.
 func (t *BitTable) Set(b memory.Block) bool {
 	rid := b.RegionID()
-	t.words = growTo(t.words, rid)
+	if rid >= len(t.words) {
+		t.words = append(t.words, make([][]uint64, rid+1-len(t.words))...)
+	}
 	idx := t.as.BlockIndex(b)
 	w := int(idx >> 6)
-	region := growTo(t.words[rid], w)
-	t.words[rid] = region
+	region := t.words[rid]
+	if w >= len(region) {
+		region = append(region, make([]uint64, w+1-len(region))...)
+		t.words[rid] = region
+	}
 	m := uint64(1) << uint(idx&63)
 	if region[w]&m != 0 {
 		return false

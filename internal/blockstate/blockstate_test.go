@@ -1,6 +1,7 @@
 package blockstate
 
 import (
+	"fmt"
 	"sort"
 	"testing"
 
@@ -10,15 +11,14 @@ import (
 func testAS(t *testing.T) *memory.AddressSpace {
 	t.Helper()
 	as := memory.NewAddressSpace(8, 32)
-	as.NewRegion("r0", 1<<18, func(int64) int { return 0 }) // 8192 blocks: two 4096-block windows
+	as.NewRegion("r0", 1<<18, func(int64) int { return 0 }) // 8192 blocks
 	as.NewRegion("r1", 1000, func(int64) int { return 1 })  // non-power-of-2 size
 	return as
 }
 
 func kinds() []Kind { return []Kind{Dense, MapRef} }
 
-// pageEdges are the r0 block indices on either side of a 64-slot page
-// boundary and of a 4096-block boundary.
+// pageEdges are r0 block indices on either side of two page boundaries.
 var pageEdges = []int64{63, 64, 65, 4095, 4096}
 
 func TestStoreBasics(t *testing.T) {
@@ -259,5 +259,56 @@ func TestBitTableDifferential(t *testing.T) {
 		if bt.Count() != len(ref) {
 			t.Fatalf("seed %d: Count %d != ref %d", seed, bt.Count(), len(ref))
 		}
+	}
+}
+
+// TestPagedForEachZeroAlloc: ForEach visits blocks in ascending order
+// while pages are created out of order (the page index grows several
+// times) and entries are removed, and a warm walk allocates nothing.
+func TestPagedForEachZeroAlloc(t *testing.T) {
+	as := testAS(t)
+	r0, r1 := as.Regions()[0], as.Regions()[1]
+	p := NewPaged[int](as)
+	ref := map[memory.Block]int{}
+	check := func(step string) {
+		t.Helper()
+		n, prev := 0, memory.Block(0)
+		p.ForEach(func(b memory.Block, v *int) {
+			if n > 0 && b <= prev {
+				t.Fatalf("%s: ForEach visits %#x after %#x", step, uint64(b), uint64(prev))
+			}
+			if w, ok := ref[b]; !ok || *v != w {
+				t.Fatalf("%s: ForEach visits %#x holding %d, want %d (live %v)", step, uint64(b), *v, w, ok)
+			}
+			prev = b
+			n++
+		})
+		if n != len(ref) || p.Len() != len(ref) {
+			t.Fatalf("%s: ForEach visits %d entries, Len %d, want %d", step, n, p.Len(), len(ref))
+		}
+	}
+	r := &prng{s: 99}
+	for round := 0; round < 8; round++ {
+		for i := 0; i < 150; i++ { // new pages, in no order
+			b := r0.BlockAt(int64(r.next() % uint64(r0.NumBlocks())))
+			if i%10 == 0 {
+				b = r1.BlockAt(int64(r.next() % uint64(r1.NumBlocks())))
+			}
+			v, _ := p.Ensure(b)
+			*v = int(r.next() >> 1)
+			ref[b] = *v
+		}
+		check(fmt.Sprintf("round %d after Ensure", round))
+		for b := range ref {
+			if r.next()%3 == 0 {
+				p.Remove(b)
+				delete(ref, b)
+			}
+		}
+		check(fmt.Sprintf("round %d after Remove", round))
+	}
+	sum := 0
+	if a := testing.AllocsPerRun(20, func() { p.ForEach(func(_ memory.Block, v *int) { sum += *v }) }); a != 0 {
+		t.Fatalf("ForEach over %d entries allocates %.1f objects, want 0", p.Len(), a)
 	}
 }

@@ -103,6 +103,7 @@ func (r *Region) HomeOf(blockIdx int64) int { return r.home(blockIdx) }
 type AddressSpace struct {
 	blockSize  int // power of two
 	blockShift uint
+	pageShift  uint // blockShift + pageBits
 	blockMask  Addr
 	nodes      int
 	regions    []*Region
@@ -121,9 +122,11 @@ func NewAddressSpace(nodes, blockSize int) *AddressSpace {
 	if nodes <= 0 || nodes > 4096 {
 		panic(fmt.Sprintf("memory: node count %d out of range [1,4096]", nodes))
 	}
+	shift := uint(bits.TrailingZeros(uint(blockSize)))
 	return &AddressSpace{
 		blockSize:  blockSize,
-		blockShift: uint(bits.TrailingZeros(uint(blockSize))),
+		blockShift: shift,
+		pageShift:  shift + pageBits,
 		blockMask:  ^Addr(blockSize - 1),
 		nodes:      nodes,
 		zero:       make([]byte, blockSize),
@@ -192,37 +195,42 @@ type Line struct {
 	Data []byte
 }
 
-// The line table is a radix over the region-local block index: a region
-// holds one pointer per 4096-block chunk, a chunk 64 page pointers, a page
-// 64 line pointers. Chunks and pages (512 bytes each) appear on first
-// touch, so huge sparsely-touched regions (tree arenas) cost memory
-// proportional to the blocks a node holds, not to the region's size.
+// The line table hashes pages of PageBlocks consecutive blocks, each page
+// holding its lines' pointers inline (see Table). A page appears on first
+// touch, so what a node pays follows the blocks it touches, not the size
+// of the regions they lie in.
 const (
-	pageBits   = 6
-	pageSize   = 1 << pageBits
-	chunkBits  = 12
-	chunkPages = 1 << (chunkBits - pageBits)
-	maxSlab    = 64 // lines per slab once growth levels off
-)
-
-type (
-	page  [pageSize]*Line
-	chunk [chunkPages]*page
+	pageBits = 3
+	maxSlab  = 64 // lines per slab once growth levels off
 )
 
 // PageBlocks is the number of consecutive blocks one line-table page
 // covers: page p of a region holds blocks [p·PageBlocks, (p+1)·PageBlocks).
-const PageBlocks = pageSize
+const PageBlocks = 1 << pageBits
 
-// Store is one node's view of the shared address space: a radix line
-// table per region. Home-owned lines materialize lazily with a ReadWrite
-// tag and zeroed data (their initial state); other nodes' lines
-// materialize when the protocol installs data.
+type page [PageBlocks]*Line
+
+// PageKey returns the Table key of the page holding a: the address
+// shifted down to its page, plus one (zero is Table's empty key). Keys
+// ascend with addresses. (Here and in PageSlot the shift is masked as in
+// Table.Get.)
+func (as *AddressSpace) PageKey(a Addr) uint64 { return uint64(a>>(as.pageShift&63)) + 1 }
+
+// PageFirst returns the first block of the page with the given key.
+func (as *AddressSpace) PageFirst(key uint64) Block { return Block(key-1) << as.pageShift }
+
+// PageSlot returns the position of a's block within its page.
+func (as *AddressSpace) PageSlot(a Addr) int { return int(a>>(as.blockShift&63)) & (PageBlocks - 1) }
+
+// Store is one node's view of the shared address space: a hashed line
+// table. Home-owned lines materialize lazily with a ReadWrite tag and
+// zeroed data (their initial state); other nodes' lines materialize when
+// the protocol installs data.
 type Store struct {
 	node int
 	as   *AddressSpace
-	// lines[regionID][chunk][page][slot]; nil entries are untouched.
-	lines [][]*chunk
+	// lines maps a page key to the page's lines; nil entries are untouched.
+	lines Table[page]
 	// slab and data are the unused tails of the current slab: Line structs
 	// and their bytes are carved off the front, and an exhausted slab is
 	// replaced by a fresh one (4 lines, doubling to maxSlab), never
@@ -236,15 +244,10 @@ type Store struct {
 	epoch uint64
 }
 
-// NewStore builds node's view of all regions allocated so far. Call after
-// all regions are created.
+// NewStore builds node's view of the address space. It allocates nothing
+// beyond the Store: the line table appears with the node's first line.
 func NewStore(as *AddressSpace, node int) *Store {
-	s := &Store{node: node, as: as}
-	s.lines = make([][]*chunk, len(as.regions))
-	for _, r := range as.regions {
-		s.lines[r.ID] = make([]*chunk, (r.NumBlocks()+(1<<chunkBits)-1)>>chunkBits)
-	}
-	return s
+	return &Store{node: node, as: as}
 }
 
 // Node returns the owning node's ID.
@@ -263,69 +266,53 @@ const (
 	missCreate        // materialize it
 )
 
-// lineAt walks the radix to a's line. The two compares stand where the
-// compiler would put its own bounds checks, so the hit path pays nothing
-// for the better message.
+// lineAt returns a's line: a hit is one hash probe and one pointer load.
 func (s *Store) lineAt(a Addr, miss int) *Line {
-	rid := a.RegionID()
-	if uint(rid) >= uint(len(s.lines)) {
-		panic(s.outside(rid, 0))
-	}
-	chunks, idx := s.lines[rid], a.Offset()>>s.as.blockShift
-	if uint64(idx>>chunkBits) >= uint64(len(chunks)) {
-		panic(s.outside(rid, idx))
-	}
-	if ch := chunks[idx>>chunkBits]; ch != nil {
-		if pg := ch[idx>>pageBits&(chunkPages-1)]; pg != nil {
-			if l := pg[idx&(pageSize-1)]; l != nil {
-				return l
-			}
+	if pg := s.lines.Get(s.as.PageKey(a)); pg != nil {
+		if l := pg[s.as.PageSlot(a)]; l != nil {
+			return l
 		}
 	}
-	r := s.as.regions[rid]
+	return s.missLine(a, miss)
+}
+
+// missLine is lineAt for a block the node holds no line for. A line exists
+// only inside a region, so the range checks live here, off the hit path.
+// Home-owned blocks materialize in their initial ReadWrite state; remote
+// blocks only for missCreate (as Invalid lines with storage).
+func (s *Store) missLine(a Addr, miss int) *Line {
+	rid := a.RegionID()
+	if rid >= len(s.as.regions) {
+		panic(s.outside(rid, 0))
+	}
+	r, idx := s.as.regions[rid], s.as.BlockIndex(a)
 	if idx >= r.NumBlocks() {
 		panic(s.outside(rid, idx))
 	}
 	if miss == missPeek {
 		return nil
 	}
-	return s.slowLine(r, chunks, idx, miss == missCreate)
-}
-
-// outside words the panic for an access beyond the mapped regions or past
-// a region's end.
-func (s *Store) outside(rid int, idx int64) string {
-	if rid >= len(s.lines) {
-		return fmt.Sprintf("memory: node %d: access to unmapped region %d (%d mapped)", s.node, rid, len(s.lines))
-	}
-	r := s.as.regions[rid]
-	return fmt.Sprintf("memory: node %d: block %d outside region %d %q (%d bytes, %d blocks)", s.node, idx, rid, r.Name, r.Size, r.NumBlocks())
-}
-
-// slowLine materializes untouched lines: home-owned blocks appear in their
-// initial ReadWrite state; remote blocks appear only when create is set
-// (as Invalid lines with storage).
-func (s *Store) slowLine(r *Region, chunks []*chunk, idx int64, create bool) *Line {
 	home := r.HomeOf(idx) == s.node
-	if !home && !create {
+	if !home && miss != missCreate {
 		return nil
-	}
-	ch := chunks[idx>>chunkBits]
-	if ch == nil {
-		ch = new(chunk)
-		chunks[idx>>chunkBits] = ch
-	}
-	pg := ch[idx>>pageBits&(chunkPages-1)]
-	if pg == nil {
-		pg = new(page)
-		ch[idx>>pageBits&(chunkPages-1)] = pg
 	}
 	l := s.carve()
 	if home {
 		l.Tag = ReadWrite
 	}
-	pg[idx&(pageSize-1)] = l
+	pg, _ := s.lines.Put(s.as.PageKey(a))
+	pg[s.as.PageSlot(a)] = l
 	return l
+}
+
+// outside words the panic for an access beyond the mapped regions or past
+// a region's end.
+func (s *Store) outside(rid int, idx int64) string {
+	if rid >= len(s.as.regions) {
+		return fmt.Sprintf("memory: node %d: access to unmapped region %d (%d mapped)", s.node, rid, len(s.as.regions))
+	}
+	r := s.as.regions[rid]
+	return fmt.Sprintf("memory: node %d: block %d outside region %d %q (%d bytes, %d blocks)", s.node, idx, rid, r.Name, r.Size, r.NumBlocks())
 }
 
 // carve takes the next Invalid, zeroed line off the current slab.
@@ -367,13 +354,14 @@ func (s *Store) Peek(b Block) (Tag, []byte) {
 	return Invalid, nil
 }
 
-// HoldsPage reports whether the node holds a line for any block of page p
-// of region rid (see PageBlocks). Lines are never dropped, so false means
-// the node has never touched one of them.
-func (s *Store) HoldsPage(rid int, p int64) bool {
-	ch := s.lines[rid][p>>(chunkBits-pageBits)]
-	return ch != nil && ch[p&(chunkPages-1)] != nil
-}
+// HoldsPage reports whether the node holds a line for any block of b's
+// page (see PageBlocks). Lines are never dropped, so false means the node
+// has never touched one of them.
+func (s *Store) HoldsPage(b Block) bool { return s.lines.Get(s.as.PageKey(b)) != nil }
+
+// AppendPageKeys appends the key of every page the node holds a line of
+// (see AddressSpace.PageKey) to dst, in no particular order.
+func (s *Store) AppendPageKeys(dst []uint64) []uint64 { return s.lines.AppendKeys(dst) }
 
 // Ensure returns the node's line for block b, materializing an Invalid
 // line with zeroed storage if needed.

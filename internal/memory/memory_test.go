@@ -340,7 +340,8 @@ func panicMessage(f func()) (msg string) {
 // TestOutOfRangeAccessPanicsByName: an unmapped region and an offset past a
 // region's end (both reachable through Addr.Add) die with the package's
 // message naming node, region and size — on every entry point, and whether
-// the stray block falls past the chunk table or only past the last block.
+// the stray block falls far past the region's end or just past its last
+// block.
 func TestOutOfRangeAccessPanicsByName(t *testing.T) {
 	as := NewAddressSpace(2, 32)
 	r := as.NewRegion("data", 1000, evenOdd) // 32 blocks
@@ -359,7 +360,7 @@ func TestOutOfRangeAccessPanicsByName(t *testing.T) {
 		{"unmapped region", r.Base().Add(1 << offsetBits), []string{"memory: node 1:", "unmapped region 1"}},
 		{"before the base", r.Base().Add(-32), []string{"memory: node 1:", "unmapped region"}},
 		{"past the last block", r.Base().Add(32 * 32), []string{"memory: node 1:", "block 32 outside region 0 \"data\"", "1000 bytes", "32 blocks"}},
-		{"past the chunk table", r.Base().Add(32 << chunkBits), []string{"memory: node 1:", "block 4096 outside region 0 \"data\"", "1000 bytes"}},
+		{"a far block", r.Base().Add(32 << 12), []string{"memory: node 1:", "block 4096 outside region 0 \"data\"", "1000 bytes"}},
 	} {
 		for name, entry := range entries {
 			msg := panicMessage(func() { entry(tc.a) })
@@ -378,20 +379,10 @@ func TestOutOfRangeAccessPanicsByName(t *testing.T) {
 // materialized counts the lines reachable through s's table, and checks
 // that Lines agrees.
 func materialized(s *Store) (n int) {
-	for _, chunks := range s.lines {
-		for _, ch := range chunks {
-			if ch == nil {
-				continue
-			}
-			for _, pg := range ch {
-				if pg == nil {
-					continue
-				}
-				for _, l := range pg {
-					if l != nil {
-						n++
-					}
-				}
+	for _, pg := range s.lines.vals {
+		for _, l := range pg {
+			if l != nil {
+				n++
 			}
 		}
 	}
@@ -410,34 +401,38 @@ func allocated(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// TestStoreFootprintFollowsBlocksTouched: a node that holds four scattered
-// remote blocks of a 48 MB arena pays for four 512-byte chunks, four
-// 512-byte pages and one four-line slab on top of the region's chunk
-// table — nothing sized by the 4096-block window a block falls in.
+// TestStoreFootprintFollowsBlocksTouched: a node of a 1024-node machine
+// that holds k scattered remote blocks of a 48 MB arena pays per line for
+// the Line, its bytes and its share of the line table — every table the
+// growth left behind included — and nothing sized by the arena or by a
+// window of blocks around each one.
 func TestStoreFootprintFollowsBlocksTouched(t *testing.T) {
-	for _, tc := range []struct {
-		blockSize int
-		limit     uint64
-	}{{32, 16 << 10}, {1024, 24 << 10}} {
-		as := NewAddressSpace(1024, tc.blockSize)
+	const k = 1000
+	for _, bs := range []int{32, 1024} {
+		as := NewAddressSpace(1024, bs)
 		r := as.NewRegion("cells", 48<<20, func(b int64) int { return int(b % 1024) })
-		data := make([]byte, tc.blockSize)
+		data := make([]byte, bs)
 		data[0] = 7
 		var s *Store
 		got := allocated(func() {
 			s = NewStore(as, 3)
-			for _, q := range []int64{0, 1, 2, 3} {
-				s.Install(r.BlockAt(q*r.NumBlocks()/4+5), data, ReadOnly)
+			for q := int64(0); q < k; q++ {
+				s.Install(r.BlockAt(q*r.NumBlocks()/k+5), data, ReadOnly)
 			}
 		})
-		if got >= tc.limit {
-			t.Errorf("block size %d: NewStore + 4 scattered installs allocated %d bytes, want < %d", tc.blockSize, got, tc.limit)
+		// A Line is 32 bytes and the last slab leaves fewer than 64
+		// unused. A table slot is 72 bytes, the final table is at least
+		// 3/8 full, and the tables growth left behind add up to less than
+		// it: under 16/3 slots, 384 bytes, per line.
+		limit := uint64(k+64)*uint64(32+bs) + k*384
+		if got > limit {
+			t.Errorf("block size %d: %d scattered installs allocated %d bytes (%d per line), want at most %d", bs, k, got, got/k, limit)
 		}
-		if n := materialized(s); n != 4 {
-			t.Errorf("block size %d: %d lines materialized, want 4", tc.blockSize, n)
+		if n := materialized(s); n != k {
+			t.Errorf("block size %d: %d lines materialized, want %d", bs, n, k)
 		}
 		if tag, d := s.Peek(r.BlockAt(5)); tag != ReadOnly || d[0] != 7 {
-			t.Errorf("block size %d: installed block reads %v %v", tc.blockSize, tag, d[:1])
+			t.Errorf("block size %d: installed block reads %v %v", bs, tag, d[:1])
 		}
 	}
 }
@@ -486,6 +481,100 @@ func TestLinesNeverMove(t *testing.T) {
 	s.Install(r.BlockAt(15003), hl.Data, ReadOnly)
 	if l := s.Line(r.BlockAt(15003)); l == nil || l.Tag != ReadOnly || l.Data[3] != 0xaa {
 		t.Fatalf("Install = %+v", l)
+	}
+
+	// Pages whose keys share one home slot in every table up to 2^16
+	// slots form a single probe chain through each growth, so every
+	// lookup but the first walks the chain; their lines must stay put and
+	// be found, and a remote read must not create a second line.
+	big := as.NewRegion("collide", 1<<32, evenOdd)
+	cs := NewStore(as, 1)
+	var chain []Block
+	var slot0 uint64
+	for p := int64(0); len(chain) < 24; p++ {
+		b := big.BlockAt(p * PageBlocks)
+		if sl := as.PageKey(b) * fibMul >> 48; len(chain) == 0 || sl == slot0 {
+			slot0 = sl
+			chain = append(chain, b)
+		}
+	}
+	held := make([]*Line, len(chain))
+	for i, b := range chain {
+		held[i] = cs.Ensure(b)
+		held[i].Data[0] = byte(i + 1)
+		for j := int64(1); j <= 40; j++ { // spread keys: the table grows
+			cs.Ensure(b.Add(j * 64 * PageBlocks * 32))
+		}
+	}
+	for i, b := range chain {
+		if l := cs.Line(b); l != held[i] || l.Data[0] != byte(i+1) {
+			t.Fatalf("chained page %d of %d: Line = %p, want %p holding %d", i, len(chain), l, held[i], i+1)
+		}
+	}
+	if n, want := materialized(cs), len(chain)*41; n != want {
+		t.Fatalf("%d lines materialized behind the chain, want %d", n, want)
+	}
+}
+
+// TestHoldsPageMatchesLineScan: HoldsPage is true exactly for the pages
+// in which a scan of every block finds a line.
+func TestHoldsPageMatchesLineScan(t *testing.T) {
+	as := NewAddressSpace(4, 32)
+	r0 := as.NewRegion("a", 32*1000, func(b int64) int { return int(b % 4) })
+	r1 := as.NewRegion("b", 32*77+8, func(int64) int { return 2 })
+	s := NewStore(as, 2)
+	rng := uint64(1)
+	for i := 0; i < 300; i++ {
+		rng = rng*6364136223846793005 + 1442695040888963407
+		r := []*Region{r0, r1}[rng>>63]
+		b := r.BlockAt(int64(rng>>20) % r.NumBlocks())
+		switch rng >> 61 & 3 {
+		case 0:
+			s.Ensure(b)
+		case 1:
+			s.Line(b) // materializes home blocks only
+		default:
+			s.Peek(b) // materializes nothing
+		}
+	}
+	held := 0
+	for _, r := range []*Region{r0, r1} {
+		for first := int64(0); first < r.NumBlocks(); first += PageBlocks {
+			scan := false
+			for idx := first; idx < min(first+PageBlocks, r.NumBlocks()); idx++ {
+				scan = scan || s.lineAt(r.BlockAt(idx), missPeek) != nil
+			}
+			if got := s.HoldsPage(r.BlockAt(first)); got != scan {
+				t.Fatalf("region %s page %d: HoldsPage = %v, line scan %v", r.Name, first/PageBlocks, got, scan)
+			}
+			if scan {
+				held++
+			}
+		}
+	}
+	if keys := s.AppendPageKeys(nil); len(keys) != held {
+		t.Fatalf("AppendPageKeys lists %d pages, line scan finds %d", len(keys), held)
+	}
+	if held == 0 {
+		t.Fatal("no page held")
+	}
+}
+
+// TestStoreHitZeroAlloc: loads, stores and line lookups of materialized
+// lines allocate nothing.
+func TestStoreHitZeroAlloc(t *testing.T) {
+	as, r := newTestSpace(t)
+	s := NewStore(as, 0)
+	s.Ensure(r.BlockAt(1))
+	a := r.Addr(8)
+	s.StoreF64(a, 1)
+	if n := testing.AllocsPerRun(100, func() {
+		v, _ := s.LoadF64(a)
+		s.StoreF64(a, v+1)
+		s.Line(r.BlockAt(1))
+		s.HoldsPage(r.BlockAt(9))
+	}); n != 0 {
+		t.Fatalf("a hit allocates %.1f objects, want 0", n)
 	}
 }
 

@@ -167,6 +167,7 @@ type globalSeg struct {
 // home-owned lines.
 type blkState struct {
 	owner      int32 // >= 0: that node holds the block modified
+	home       int32 // the coarse block's home node
 	sharers    uint64
 	grace      uint64 // revoked holders still running on stale copies
 	subs       uint64 // historical readers (pre-send subscribers)
@@ -184,6 +185,18 @@ type mergeHeap struct {
 func (h *mergeHeap) less(i, j int) bool {
 	a, b := h.slots[i], h.slots[j]
 	return h.at[a] < h.at[b] || h.at[a] == h.at[b] && a < b
+}
+
+// rival returns the root's smaller child, the next participant to run
+// once the root's key passes it, or -1 if the root has no children.
+func (h *mergeHeap) rival() int32 {
+	switch {
+	case len(h.slots) < 2:
+		return -1
+	case len(h.slots) > 2 && h.less(2, 1):
+		return h.slots[2]
+	}
+	return h.slots[1]
 }
 
 // down sifts slot i toward the leaves until the heap order holds below it.
@@ -330,11 +343,11 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 			coarse[u] = ci
 		}
 		state := make([]blkState, len(chome))
-		for ci := range state {
+		for ci, home := range chome {
 			if update {
-				state[ci] = blkState{owner: -1, sharers: uint64(1) << chome[ci]}
+				state[ci] = blkState{owner: -1, home: home, sharers: uint64(1) << home}
 			} else {
-				state[ci] = blkState{owner: chome[ci]}
+				state[ci] = blkState{owner: home, home: home}
 			}
 		}
 		clocks := make([]int64, n0)
@@ -370,83 +383,100 @@ func (c *Calibration) buildShifts(m *rt.Machine) error {
 			// Merge the participants' compressed streams by reconstructed
 			// time: compute offsets plus the stalls replay has charged.
 			// Only the node that just ran changes its stall, so only its
-			// key moves.
+			// key moves: the root keeps running while its key stays below
+			// its rival's (the heap's next pop would be the root again),
+			// and the heap is fixed once, when another participant takes
+			// over.
 			for len(merge.slots) > 0 {
-				best := int(merge.slots[0])
-				bt := merge.at[best]
+				best := merge.slots[0]
+				rival := merge.rival()
 				ns := &gs.nodes[best]
-				accs := ns.s.Accs
-				ref := accs[idx[best]].Ref
-				write := ref&1 != 0
-				idx[best]++
+				accs, node := ns.s.Accs, ns.node
+				bit := uint64(1) << node
+				row := int(gs.pi)*n0 + int(node)
+				i, e, o, adj := idx[best], esc[best], off[best], stallAdj[best]
+				bt := merge.at[best]
+				for {
+					ref := accs[i].Ref
+					write := ref&1 != 0
+					i++
 
-				ci := coarse[nodeOff[ns.node]+ref>>1]
-				home := chome[ci]
-				st := &state[ci]
-				bit := uint64(1) << ns.node
-				inGrace := st.grace&bit != 0 && bt < st.graceUntil
-				fault := false
-				if update {
-					// Write-update: copies are never invalidated; any
-					// node faults once to join the sharers, then hits.
-					if st.sharers&bit == 0 {
-						fault = true
-						st.sharers |= bit
-					}
-				} else if write {
-					if st.owner != ns.node && !inGrace {
-						fault = true
-						g := st.sharers
-						if st.owner >= 0 {
-							g |= uint64(1) << st.owner
+					ci := coarse[nodeOff[node]+ref>>1]
+					st := &state[ci]
+					inGrace := st.grace&bit != 0 && bt < st.graceUntil
+					fault := false
+					if update {
+						// Write-update: copies are never invalidated; any
+						// node faults once to join the sharers, then hits.
+						if st.sharers&bit == 0 {
+							fault = true
+							st.sharers |= bit
 						}
-						st.grace = g &^ bit
-						st.owner = ns.node
-						st.sharers = 0
-						if predictive {
-							st.subs |= g &^ bit
-							written = append(written, ci)
+					} else if write {
+						if st.owner != node && !inGrace {
+							fault = true
+							g := st.sharers
+							if st.owner >= 0 {
+								g |= uint64(1) << st.owner
+							}
+							st.grace = g &^ bit
+							st.owner = node
+							st.sharers = 0
+							if predictive {
+								st.subs |= g &^ bit
+								written = append(written, ci)
+							}
 						}
-					}
-				} else {
-					if predictive {
-						st.subs |= bit
-					}
-					if st.owner != ns.node && st.sharers&bit == 0 && !inGrace {
-						fault = true
-						if st.owner >= 0 {
-							st.grace |= uint64(1) << st.owner
-							st.sharers = uint64(1) << st.owner
-							st.owner = -1
-						}
-						st.sharers |= bit
-					}
-				}
-				if fault {
-					// The faulting node stalls a miss round trip, queued
-					// behind any in-flight transfer of the same block
-					// (coarse blocks concentrate contention at the home);
-					// displaced holders keep hitting on stale copies
-					// until the recall lands at roughly the same time.
-					lam := int64(lambda(c.Net, b1, int(ns.node), int(home)))
-					stallAdj[best] += lam
-					st.graceUntil = bt + lam
-					row := int(gs.pi)*n0 + int(ns.node)
-					faults[row]++
-					homes[row*n0+int(home)]++
-					stallq[row] += lam
-					if write {
-						writes++
 					} else {
-						reads++
+						if predictive {
+							st.subs |= bit
+						}
+						if st.owner != node && st.sharers&bit == 0 && !inGrace {
+							fault = true
+							if st.owner >= 0 {
+								st.grace |= uint64(1) << st.owner
+								st.sharers = uint64(1) << st.owner
+								st.owner = -1
+							}
+							st.sharers |= bit
+						}
 					}
-				}
-				if i := idx[best]; i < len(accs) {
-					off[best] += ns.s.Gap(i, &esc[best])
-					merge.at[best] = segStart + off[best] + stallAdj[best]
-				} else {
-					merge.slots[0] = merge.slots[len(merge.slots)-1]
-					merge.slots = merge.slots[:len(merge.slots)-1]
+					if fault {
+						// The faulting node stalls a miss round trip, queued
+						// behind any in-flight transfer of the same block
+						// (coarse blocks concentrate contention at the home);
+						// displaced holders keep hitting on stale copies
+						// until the recall lands at roughly the same time.
+						lam := int64(lambda(c.Net, b1, int(node), int(st.home)))
+						adj += lam
+						st.graceUntil = bt + lam
+						faults[row]++
+						homes[row*n0+int(st.home)]++
+						stallq[row] += lam
+						if write {
+							writes++
+						} else {
+							reads++
+						}
+					}
+					if i == len(accs) {
+						stallAdj[best] = adj
+						merge.slots[0] = merge.slots[len(merge.slots)-1]
+						merge.slots = merge.slots[:len(merge.slots)-1]
+						break
+					}
+					if g := accs[i].Gap; g == tempest.GapEscape {
+						o += ns.s.Big[e]
+						e++
+					} else {
+						o += int64(g)
+					}
+					bt = segStart + o + adj
+					if rival >= 0 && (bt > merge.at[rival] || bt == merge.at[rival] && best > rival) {
+						idx[best], esc[best], off[best], stallAdj[best] = i, e, o, adj
+						merge.at[best] = bt
+						break
+					}
 				}
 				merge.down(0)
 			}

@@ -121,7 +121,7 @@ func TestHashMemoryMatchesByteLoop(t *testing.T) {
 				m.Nodes[1].Store.Install(b, data, memory.ReadWrite)
 				e := m.Nodes[0].Dir.Entry(b)
 				e.State, e.Owner = tempest.DirRemoteExcl, 1
-				if m.Nodes[0].Store.HoldsPage(remote.ID, 1) {
+				if m.Nodes[0].Store.HoldsPage(b) {
 					t.Fatal("home holds the remote owner's page")
 				}
 				got2, want2 := m.HashMemory(), hashMemoryRef(m)

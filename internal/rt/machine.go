@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math"
 	"runtime"
+	"slices"
 	"sort"
 
 	"presto/internal/blockstate"
@@ -254,6 +255,7 @@ type Machine struct {
 	workers      int
 	lanes        int
 	lookahead    sim.Time // executed window width (parallel engine)
+	hashPages    []uint64 // HashMemory's scratch: held page keys
 }
 
 // New builds a machine for the given configuration.
@@ -717,41 +719,39 @@ const (
 // is known to be zero. A zero byte folds as h·p (the XOR changes nothing),
 // so k zero bytes fold as one multiply by p^k. A line-table page that no
 // node's Store holds is all zero: with no line anywhere there is no
-// exclusive owner, and its home reads the shared zero block. Such a page
-// folds as one multiply; a held page folds block by block, each zero word
-// as one multiply. Nothing is materialized or allocated.
+// exclusive owner, and its home reads the shared zero block. So the walk
+// gathers the pages any node holds, once, in address order, folds each
+// held page block by block (each zero word as one multiply) and each gap
+// between held pages as one power of p. Nothing is materialized, and
+// after a machine's first hash nothing is allocated.
 func (m *Machine) HashMemory() uint64 {
+	held := m.hashPages[:0]
+	for _, n := range m.Nodes {
+		held = n.Store.AppendPageKeys(held)
+	}
+	slices.Sort(held)
+	held = slices.Compact(held)
+	m.hashPages = held
+
 	h := uint64(fnvOffset)
 	bs := int64(m.Cfg.BlockSize)
-	pagePow := fnvPow(memory.PageBlocks * bs)
 	for _, r := range m.AS.Regions() {
-		nb := r.NumBlocks()
-		for first := int64(0); first < nb; first += memory.PageBlocks {
-			n := min(memory.PageBlocks, nb-first)
-			if !m.pageHeld(r.ID, first/memory.PageBlocks) {
-				if n == memory.PageBlocks {
-					h *= pagePow
-				} else {
-					h *= fnvPow(n * bs)
-				}
-				continue
+		nb, next := r.NumBlocks(), int64(0)
+		for ; len(held) > 0; held = held[1:] {
+			b := m.AS.PageFirst(held[0])
+			if b.RegionID() != r.ID {
+				break
 			}
-			for idx := first; idx < first+n; idx++ {
+			first := m.AS.BlockIndex(b)
+			h *= fnvPow((first - next) * bs)
+			next = min(first+memory.PageBlocks, nb)
+			for idx := first; idx < next; idx++ {
 				h = fnvFold(h, m.SnapshotBlock(r.BlockAt(idx)))
 			}
 		}
+		h *= fnvPow((nb - next) * bs)
 	}
 	return h
-}
-
-// pageHeld reports whether any node holds a line of page p of region rid.
-func (m *Machine) pageHeld(rid int, p int64) bool {
-	for _, n := range m.Nodes {
-		if n.Store.HoldsPage(rid, p) {
-			return true
-		}
-	}
-	return false
 }
 
 // fnvPow returns fnvPrime^k mod 2^64: the fold of k zero bytes.

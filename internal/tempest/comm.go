@@ -7,13 +7,13 @@ import (
 	"presto/internal/sim"
 )
 
-// gapEscape in SliceAcc.Gap marks a gap of 2³²−1 or more: its value is
+// GapEscape in SliceAcc.Gap marks a gap of 2³²−1 or more: its value is
 // the slice's next Big entry.
-const gapEscape = math.MaxUint32
+const GapEscape = math.MaxUint32
 
 // SliceAcc is one shared-memory access (load, store or RMW) of a Slice:
 // Gap is the compressed time since the slice's previous access (0 for its
-// first; Slice.Gap decodes it), and Ref is the node-local block index (into
+// first; GapEscape if Big holds it), and Ref is the node-local block index (into
 // CommRecord.Blocks) <<1 | 1 if the access needed write access.
 type SliceAcc struct{ Gap, Ref uint32 }
 
@@ -27,16 +27,6 @@ type Slice struct {
 	Span        int64    // compressed-time offset of the last access
 	Accs        []SliceAcc
 	Big         []int64 // escaped gaps, in access order
-}
-
-// Gap decodes access i's gap. *esc counts the escaped gaps before i, and
-// Gap moves it past an escaped one.
-func (s *Slice) Gap(i int, esc *int) int64 {
-	if g := s.Accs[i].Gap; g != gapEscape {
-		return int64(g)
-	}
-	*esc++
-	return s.Big[*esc-1]
 }
 
 // CommRecord captures one node's memory behavior during a calibration
@@ -85,8 +75,8 @@ func (r *CommRecord) NoteAccess(phase, iter int, at sim.Time, b memory.Block, wr
 	// A fault advances issue time and cumulative stall alike, so gaps are
 	// never negative; the unsigned min still escapes either kind.
 	g := c - r.last
-	gap := uint32(min(uint64(g), gapEscape))
-	if gap == gapEscape {
+	gap := uint32(min(uint64(g), GapEscape))
+	if gap == GapEscape {
 		s.Big = append(s.Big, g)
 	}
 	s.Span += g

@@ -14,8 +14,13 @@ func offsets(s *Slice) []int64 {
 	var out []int64
 	var off int64
 	esc := 0
-	for i := range s.Accs {
-		off += s.Gap(i, &esc)
+	for _, a := range s.Accs {
+		if a.Gap == GapEscape {
+			off += s.Big[esc]
+			esc++
+		} else {
+			off += int64(a.Gap)
+		}
 		out = append(out, off)
 	}
 	return out
@@ -26,7 +31,7 @@ func offsets(s *Slice) []int64 {
 // and an access after CloseSlice, and checks every slice the record keeps.
 func TestCommRecordSlices(t *testing.T) {
 	b1, b2, b3 := memory.Block(1<<40), memory.Block(1<<40|32), memory.Block(2<<40|64)
-	const top = int64(gapEscape) - 1 // the largest gap kept inline
+	const top = int64(GapEscape) - 1 // the largest gap kept inline
 	r := NewCommRecord()
 	r.NoteAccess(-1, 0, 100, b1, false)
 	r.NoteAccess(-1, 0, 110, b2, true)
